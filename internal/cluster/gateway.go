@@ -4,17 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/edge"
 	"repro/internal/obs"
 	"repro/internal/obs/tracestore"
 	"repro/pkg/api"
@@ -68,18 +66,14 @@ type Gateway struct {
 	token   string
 	hc      *http.Client
 	mux     *http.ServeMux
-	metrics *Metrics
+	edge    *edge.Edge
 	repl    *replicator
 
 	maxBody      int64
 	maxBatchBody int64
 	logger       *slog.Logger
-	slow         obs.SlowQueryLogger
 
-	traces   *tracestore.Store
-	loads    *obs.LoadRing
-	sampler  *obs.LoadSampler
-	inflight atomic.Int64
+	counters
 }
 
 // New starts a gateway: the health prober and the replication loop begin
@@ -110,43 +104,41 @@ func New(opts Options) (*Gateway, error) {
 		token:   opts.Token,
 		hc:      hc,
 		mux:     http.NewServeMux(),
-		metrics: NewMetrics(),
 		maxBody: opts.MaxBodyBytes,
 		logger:  opts.Logger,
 	}
+	g.stages = obs.NewLabeledHistograms()
 	if g.maxBody <= 0 {
 		g.maxBody = 256 << 20
 	}
 	if g.logger == nil {
 		g.logger = slog.Default()
 	}
-	g.slow = obs.SlowQueryLogger{Logger: g.logger, Threshold: opts.SlowQuery}
 	g.maxBatchBody = min(8<<20, g.maxBody)
-	if opts.Trace.SlowThreshold == 0 && opts.SlowQuery > 0 {
-		opts.Trace.SlowThreshold = opts.SlowQuery
-	}
-	g.traces = tracestore.New(opts.Trace)
-	if opts.LoadSampleInterval >= 0 {
-		g.loads = obs.NewLoadRing(0)
-		g.sampler = obs.StartLoadSampler(g.loads, opts.LoadSampleInterval, g.loadSample())
-	}
+	g.edge = edge.New(gatewayRole, edge.Options{
+		Logger:             g.logger,
+		SlowQuery:          opts.SlowQuery,
+		Trace:              opts.Trace,
+		LoadSampleInterval: opts.LoadSampleInterval,
+	})
 	reconcile := opts.ReconcileInterval
 	if reconcile <= 0 {
 		reconcile = 15 * time.Second
 	}
 	g.repl = newReplicator(g, reconcile)
-	g.mux.HandleFunc("GET /healthz", g.instrument("healthz", g.handleHealthz))
-	g.mux.HandleFunc("GET /metrics", g.instrument("metrics", g.handleMetrics))
-	g.mux.HandleFunc("GET /v1/cluster/status", g.instrument("cluster_status", g.handleStatus))
-	g.mux.HandleFunc("POST /v1/releases", g.instrument("create_release", g.handleCreate))
-	g.mux.HandleFunc("GET /v1/releases", g.instrument("list_releases", g.handleList))
-	g.mux.HandleFunc("GET /v1/releases/{id}", g.instrument("get_release", g.handleGet))
-	g.mux.HandleFunc("POST /v1/releases/{id}/query", g.instrument("query_release", g.handleQuery))
-	g.mux.HandleFunc("POST /v1/releases/{action}", g.instrument("release_action", g.handleReleaseAction))
-	g.mux.HandleFunc("GET /v1/releases/{id}/evaluation", g.instrument("get_evaluation", g.handleGetEvaluation))
-	g.mux.HandleFunc("POST /v1/query:batch", g.instrument("batch_query", g.handleBatchQuery))
-	g.mux.HandleFunc("GET /v1/debug/traces/{id}", g.instrument("debug_trace", g.handleTraceDebug))
-	g.mux.HandleFunc("GET /v1/cluster/overview", g.instrument("cluster_overview", g.handleOverview))
+	instrument := g.edge.Wrap
+	g.mux.HandleFunc("GET /healthz", instrument("healthz", g.handleHealthz))
+	g.mux.HandleFunc("GET /metrics", instrument("metrics", g.edge.MetricsHandler(g.writeMetrics)))
+	g.mux.HandleFunc("GET /v1/cluster/status", instrument("cluster_status", g.handleStatus))
+	g.mux.HandleFunc("POST /v1/releases", instrument("create_release", g.handleCreate))
+	g.mux.HandleFunc("GET /v1/releases", instrument("list_releases", g.handleList))
+	g.mux.HandleFunc("GET /v1/releases/{id}", instrument("get_release", g.handleGet))
+	g.mux.HandleFunc("POST /v1/releases/{id}/query", instrument("query_release", g.handleQuery))
+	g.mux.HandleFunc("POST /v1/releases/{action}", instrument("release_action", g.handleEvaluate))
+	g.mux.HandleFunc("GET /v1/releases/{id}/evaluation", instrument("get_evaluation", g.handleGetEvaluation))
+	g.mux.HandleFunc("POST /v1/query:batch", instrument("batch_query", g.handleBatchQuery))
+	g.mux.HandleFunc("GET /v1/debug/traces/{id}", instrument("debug_trace", g.handleTraceDebug))
+	g.mux.HandleFunc("GET /v1/cluster/overview", instrument("cluster_overview", g.handleOverview))
 	g.mux.Handle("/debug/pprof/", obs.PprofHandler(opts.Token))
 	return g, nil
 }
@@ -154,7 +146,7 @@ func New(opts Options) (*Gateway, error) {
 // Close stops the load sampler, the prober, and the replicator.
 // In-flight proxied requests are not interrupted.
 func (g *Gateway) Close() {
-	g.sampler.Close()
+	g.edge.Close()
 	g.repl.close()
 	g.mem.close()
 }
@@ -165,42 +157,6 @@ func (g *Gateway) Replication() int { return g.rfactor }
 // ServeHTTP implements http.Handler.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mux.ServeHTTP(w, r)
-}
-
-// instrument wraps a handler with edge observability: the gateway mints
-// the request ID (or adopts a propagated one), echoes it as X-Request-Id,
-// carries a span trace on the request context that every downstream node
-// hop inherits, and feeds the per-route metrics, access log, and
-// slow-query log.
-func (g *Gateway) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id, _ := obs.RequestIDFromHeaders(r.Header)
-		tr := obs.NewTrace(id)
-		// The route span anchors at the trace's own start so assembled
-		// documents never show it at a negative offset.
-		start := tr.Start()
-		w.Header().Set(obs.HeaderRequestID, id)
-		r = r.WithContext(obs.WithTrace(r.Context(), tr))
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		g.inflight.Add(1)
-		// Deferred, not inline after the handler: net/http recovers
-		// handler panics, and an inline decrement would leak the gauge —
-		// skewing every load sample — on each one.
-		defer g.inflight.Add(-1)
-		h(rec, r)
-		total := time.Since(start)
-		tr.AddSpan("gateway."+route, "", start, total)
-		g.metrics.Observe(route, rec.code, total, id)
-		g.slow.Observe(route, rec.code, total, tr)
-		g.traces.Commit(tr, route, rec.code, rec.errCode, total)
-		g.logger.Debug("request",
-			"request_id", id,
-			"route", route,
-			"code", rec.code,
-			"release_id", tr.ReleaseID(),
-			"total_us", total.Microseconds(),
-		)
-	}
 }
 
 // nodeResponse is one node's complete HTTP answer, buffered so it can be
@@ -259,27 +215,12 @@ func (g *Gateway) relay(w http.ResponseWriter, nr *nodeResponse) {
 	_, _ = w.Write(nr.body)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, code string, err error, details map[string]any) {
-	if rec, ok := w.(interface{ setErrorCode(string) }); ok {
-		rec.setErrorCode(code)
-	}
-	writeJSON(w, status, api.Envelope{Error: api.Error{Code: code, Message: err.Error(), Details: details}})
-}
-
 // noLiveReplica emits the 503 a request gets when every candidate node is
 // down or failed mid-flight; Retry-After invites the client SDK's bounded
 // retry, by which time the prober may have revived a member.
 func noLiveReplica(w http.ResponseWriter, what string) {
 	w.Header().Set("Retry-After", "1")
-	writeErr(w, http.StatusServiceUnavailable, api.CodeUnavailable,
+	edge.WriteErr(w, http.StatusServiceUnavailable, api.CodeUnavailable,
 		fmt.Errorf("cluster: no live node could serve the %s", what), nil)
 }
 
@@ -355,7 +296,7 @@ func (g *Gateway) tryNodes(w http.ResponseWriter, r *http.Request, candidates []
 			if r.Context().Err() != nil {
 				return // client went away; nothing to relay
 			}
-			g.metrics.addFailover()
+			g.failovers.Add(1)
 			continue
 		}
 		if retriableMiss(nr.status) {
@@ -369,35 +310,12 @@ func (g *Gateway) tryNodes(w http.ResponseWriter, r *http.Request, candidates []
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	edge.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":      "ok",
 		"role":        "gateway",
 		"nodes":       len(g.mem.nodes),
 		"nodes_alive": g.mem.aliveCount(),
 	})
-}
-
-// handleMetrics serves the exposition in the negotiated format: the
-// classic 0.0.4 text format by default (no exemplar syntax exists
-// there), OpenMetrics with bucket exemplars and the "# EOF" terminator
-// when the Accept header asks for it.
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	contentType, openMetrics := obs.NegotiateExposition(r.Header.Get("Accept"))
-	data := g.metrics.render(g.mem, g.rfactor, g.extraGauges, openMetrics)
-	if openMetrics {
-		data = append(data, obs.ExpositionEOF...)
-	}
-	w.Header().Set("Content-Type", contentType)
-	_, _ = w.Write(data)
-}
-
-// extraGauges renders the gateway's inflight and trace-store gauges into
-// the exposition.
-func (g *Gateway) extraGauges(buf *bytes.Buffer) {
-	fmt.Fprintln(buf, "# HELP repro_gateway_http_inflight_requests Requests currently being served (includes this scrape).")
-	fmt.Fprintln(buf, "# TYPE repro_gateway_http_inflight_requests gauge")
-	fmt.Fprintf(buf, "repro_gateway_http_inflight_requests %d\n", g.inflight.Load())
-	tracestore.WriteGauges(buf, "repro_gateway_", g.traces.Stats())
 }
 
 func (g *Gateway) handleStatus(w http.ResponseWriter, _ *http.Request) {
@@ -413,7 +331,7 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, _ *http.Request) {
 			LastError:   st.lastError(),
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	edge.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleCreate proxies a release creation to the least-loaded live node,
@@ -425,7 +343,7 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, _ *http.Request) {
 func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxBody))
 	if err != nil {
-		writeErr(w, decodeStatus(err), decodeCode(err), fmt.Errorf("reading request: %w", err), nil)
+		edge.WriteBodyErr(w, fmt.Errorf("reading request: %w", err))
 		return
 	}
 	candidates := liveByLoad(g.mem.nodes)
@@ -439,7 +357,7 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 			if r.Context().Err() != nil {
 				return
 			}
-			g.metrics.addFailover()
+			g.failovers.Add(1)
 			continue
 		}
 		if nr.status == http.StatusAccepted {
@@ -473,7 +391,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	obs.TraceFrom(r.Context()).SetRelease(id)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxBatchBody))
 	if err != nil {
-		writeErr(w, decodeStatus(err), decodeCode(err), fmt.Errorf("reading request: %w", err), nil)
+		edge.WriteBodyErr(w, fmt.Errorf("reading request: %w", err))
 		return
 	}
 	candidates := g.readCandidates(id)
@@ -484,24 +402,20 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	g.tryNodes(w, r, candidates, http.MethodPost, "/v1/releases/"+id+"/query", "application/json", body, "query", id)
 }
 
-// handleReleaseAction proxies POST /v1/releases/{id}:{verb}; evaluate is
-// the only verb. Evaluations are owner-homed — the job runs where the
-// release (and, durably, its verdict sidecar) lives, and sidecars are not
-// replicated — so the sweep is placement-ordered like handleGet: owner
-// first, replicas only when the owner is down.
-func (g *Gateway) handleReleaseAction(w http.ResponseWriter, r *http.Request) {
-	action := r.PathValue("action")
-	id, verb, ok := strings.Cut(action, ":")
-	if !ok || id == "" || verb != "evaluate" {
-		writeErr(w, http.StatusNotFound, api.CodeNotFound,
-			fmt.Errorf("no route for POST /v1/releases/%s", action),
-			map[string]any{"actions": []string{"{id}:evaluate"}})
+// handleEvaluate proxies POST /v1/releases/{id}:evaluate. Evaluations
+// are owner-homed — the job runs where the release (and, durably, its
+// verdict sidecar) lives, and sidecars are not replicated — so the sweep
+// is placement-ordered like handleGet: owner first, replicas only when
+// the owner is down.
+func (g *Gateway) handleEvaluate(w http.ResponseWriter, r *http.Request) {
+	id, ok := edge.EvaluateTarget(w, r)
+	if !ok {
 		return
 	}
 	obs.TraceFrom(r.Context()).SetRelease(id)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxBody))
 	if err != nil {
-		writeErr(w, decodeStatus(err), decodeCode(err), fmt.Errorf("reading request: %w", err), nil)
+		edge.WriteBodyErr(w, fmt.Errorf("reading request: %w", err))
 		return
 	}
 	candidates := g.placementCandidates(id)
@@ -509,7 +423,7 @@ func (g *Gateway) handleReleaseAction(w http.ResponseWriter, r *http.Request) {
 		noLiveReplica(w, "evaluation submit")
 		return
 	}
-	g.tryNodes(w, r, candidates, http.MethodPost, "/v1/releases/"+action, "application/json", body, "evaluation submit", id)
+	g.tryNodes(w, r, candidates, http.MethodPost, "/v1/releases/"+id+":evaluate", "application/json", body, "evaluation submit", id)
 }
 
 // handleGetEvaluation reads a release's evaluation state. The same
@@ -617,7 +531,7 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		return merged[i].ID < merged[j].ID
 	})
-	writeJSON(w, http.StatusOK, api.ListReleasesResponse{Releases: merged})
+	edge.WriteJSON(w, http.StatusOK, api.ListReleasesResponse{Releases: merged})
 }
 
 // subBatch is one scatter unit: a contiguous slice of the request's
@@ -633,17 +547,8 @@ type subBatch struct {
 // mid-flight fails over to the next live replica; only when every
 // candidate is gone does the batch fail.
 func (g *Gateway) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
-	var req api.BatchQueryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, g.maxBatchBody)).Decode(&req); err != nil {
-		writeErr(w, decodeStatus(err), decodeCode(err), fmt.Errorf("decoding request: %w", err), nil)
-		return
-	}
-	if req.ReleaseID == "" {
-		writeErr(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Errorf("release_id is required"), nil)
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeErr(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Errorf("queries is empty"), nil)
+	req, ok := edge.DecodeBatch(w, r, g.maxBatchBody)
+	if !ok {
 		return
 	}
 	tr := obs.TraceFrom(r.Context())
@@ -669,7 +574,7 @@ func (g *Gateway) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 		end := min(start+per, len(req.Queries))
 		chunks = append(chunks, subBatch{start: start, queries: req.Queries[start:end]})
 	}
-	g.metrics.addSubBatches(len(chunks))
+	g.subBatches.Add(uint64(len(chunks)))
 
 	outcomes := make([]chunkOutcome, len(chunks))
 	fanStart := time.Now()
@@ -682,11 +587,11 @@ func (g *Gateway) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 		}(ci, ch)
 	}
 	wg.Wait()
-	g.metrics.observeStage("gateway.fanout", time.Since(fanStart))
+	g.stages.Observe("gateway.fanout", time.Since(fanStart))
 
 	endMerge := tr.StartSpan("gateway.merge")
 	mergeStart := time.Now()
-	defer func() { g.metrics.observeStage("gateway.merge", time.Since(mergeStart)); endMerge() }()
+	defer func() { g.stages.Observe("gateway.merge", time.Since(mergeStart)); endMerge() }()
 	// The merged answer is gateway-built, so the edge request ID must be
 	// restated here — sub-batch responses carry it, but they are not
 	// relayed verbatim.
@@ -711,7 +616,7 @@ func (g *Gateway) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 		copy(out.Results[chunks[ci].start:], oc.resp.Results)
 		out.CacheHits += oc.resp.CacheHits
 	}
-	writeJSON(w, http.StatusOK, out)
+	edge.WriteJSON(w, http.StatusOK, out)
 }
 
 // chunkOutcome is one sub-batch's result: exactly one field is set — the
@@ -745,14 +650,14 @@ func (g *Gateway) dispatchChunk(r *http.Request, releaseID string, ch subBatch, 
 		endSpan := tr.StartSpanNode("gateway.subbatch", st.node.ID)
 		attemptStart := time.Now()
 		nr, err := g.exchange(r.Context(), st, http.MethodPost, "/v1/query:batch", "application/json", body)
-		g.metrics.observeStage("gateway.subbatch", time.Since(attemptStart))
+		g.stages.Observe("gateway.subbatch", time.Since(attemptStart))
 		endSpan()
 		if err != nil {
 			if r.Context().Err() != nil {
 				oc.err = err
 				return oc
 			}
-			g.metrics.addFailover()
+			g.failovers.Add(1)
 			continue
 		}
 		if retriableMiss(nr.status) {
@@ -765,7 +670,7 @@ func (g *Gateway) dispatchChunk(r *http.Request, releaseID string, ch subBatch, 
 		}
 		var resp api.BatchQueryResponse
 		if err := json.Unmarshal(nr.body, &resp); err != nil || len(resp.Results) != len(ch.queries) {
-			g.metrics.addFailover()
+			g.failovers.Add(1)
 			continue // malformed answer; treat like a dead node
 		}
 		oc.resp = &resp
@@ -777,22 +682,4 @@ func (g *Gateway) dispatchChunk(r *http.Request, releaseID string, ch subBatch, 
 	}
 	oc.err = fmt.Errorf("cluster: no live replica for sub-batch")
 	return oc
-}
-
-// decodeStatus / decodeCode mirror the node server's body-failure
-// mapping: 413 for MaxBytesReader trips, 400 otherwise.
-func decodeStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
-func decodeCode(err error) string {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return api.CodeTooLarge
-	}
-	return api.CodeInvalidRequest
 }

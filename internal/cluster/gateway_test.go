@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -323,6 +324,40 @@ func TestGatewayStatusAndMetrics(t *testing.T) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
 	}
+	// The full family set: names, types and label names are the gateway's
+	// scrape contract.
+	got := exposedFamilies(body)
+	wantFamilies := map[string]string{
+		"repro_gateway_requests_total":               "counter(code,route)",
+		"repro_gateway_request_duration_seconds":     "histogram(route)",
+		"repro_gateway_http_inflight_requests":       "gauge()",
+		"repro_gateway_stage_duration_seconds":       "histogram()",
+		"repro_gateway_probe_duration_seconds":       "histogram()",
+		"repro_gateway_failovers_total":              "counter()",
+		"repro_gateway_subbatches_total":             "counter()",
+		"repro_gateway_replications_total":           "counter(outcome)",
+		"repro_gateway_replication_bytes_total":      "counter()",
+		"repro_gateway_reconcile_sweeps_total":       "counter()",
+		"repro_gateway_replication_factor":           "gauge()",
+		"repro_gateway_node_up":                      "gauge(node)",
+		"repro_gateway_node_inflight":                "gauge(node)",
+		"repro_gateway_tracestore_capacity":          "gauge()",
+		"repro_gateway_tracestore_retained":          "gauge()",
+		"repro_gateway_tracestore_kept_total":        "counter(reason)",
+		"repro_gateway_tracestore_sampled_out_total": "counter()",
+		"repro_gateway_tracestore_evicted_total":     "counter()",
+		"repro_gateway_go_goroutines":                "gauge()",
+		"repro_gateway_go_heap_alloc_bytes":          "gauge()",
+		"repro_gateway_go_heap_objects":              "gauge()",
+		"repro_gateway_go_sys_bytes":                 "gauge()",
+		"repro_gateway_go_next_gc_bytes":             "gauge()",
+		"repro_gateway_go_gc_cycles_total":           "counter()",
+		"repro_gateway_go_gc_pause_seconds_total":    "counter()",
+		"repro_gateway_uptime_seconds":               "gauge()",
+	}
+	if !reflect.DeepEqual(got, wantFamilies) {
+		t.Errorf("metric families:\ngot  %v\nwant %v", got, wantFamilies)
+	}
 
 	// Healthz names the role and the live count.
 	resp, err = http.Get(ts.URL + "/healthz")
@@ -339,5 +374,27 @@ func TestGatewayStatusAndMetrics(t *testing.T) {
 	}
 	if hz.Status != "ok" || hz.Role != "gateway" || hz.NodesAlive != 3 {
 		t.Fatalf("healthz %+v", hz)
+	}
+}
+
+// TestGatewayErrorEnvelopeCarriesRequestID: an error the gateway writes
+// itself — not one relayed from a node — mirrors the X-Request-Id header
+// under details.request_id, as a node's envelopes do.
+func TestGatewayErrorEnvelopeCarriesRequestID(t *testing.T) {
+	_, _, ts := startCluster(t, 1, 1)
+	resp, err := http.Post(ts.URL+"/v1/query:batch", "application/json", strings.NewReader("{"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env api.Envelope
+	if err := jsonDecode(resp, &env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != api.CodeInvalidRequest {
+		t.Fatalf("malformed batch: %d %+v, want 400 %s", resp.StatusCode, env.Error, api.CodeInvalidRequest)
+	}
+	rid := resp.Header.Get(api.HeaderRequestID)
+	if got, _ := env.Error.Details["request_id"].(string); rid == "" || got != rid {
+		t.Errorf("envelope details.request_id = %q, header %q", got, rid)
 	}
 }

@@ -12,6 +12,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -173,4 +176,47 @@ func waitCondition(t *testing.T, timeout time.Duration, what string, ok func() b
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// exposedFamilies maps every # TYPE family of a text exposition to its
+// type and the sorted label names its samples carry ("le" excluded), as
+// "type(label,label)".
+func exposedFamilies(body string) map[string]string {
+	types := make(map[string]string)
+	labels := make(map[string]map[string]bool)
+	labelName := regexp.MustCompile(`([a-zA-Z_][a-zA-Z0-9_]*)="`)
+	for _, line := range strings.Split(body, "\n") {
+		if decl, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(decl, " ")
+			types[name], labels[name] = typ, make(map[string]bool)
+			continue
+		}
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		end := strings.IndexAny(line, "{ ")
+		family := line[:end]
+		if _, ok := types[family]; !ok {
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				family = strings.TrimSuffix(family, suffix)
+			}
+		}
+		if set, ok := labels[family]; ok && line[end] == '{' {
+			for _, m := range labelName.FindAllStringSubmatch(line[:strings.IndexByte(line, '}')], -1) {
+				if m[1] != "le" {
+					set[m[1]] = true
+				}
+			}
+		}
+	}
+	out := make(map[string]string, len(types))
+	for name, typ := range types {
+		names := make([]string, 0, len(labels[name]))
+		for l := range labels[name] {
+			names = append(names, l)
+		}
+		sort.Strings(names)
+		out[name] = typ + "(" + strings.Join(names, ",") + ")"
+	}
+	return out
 }

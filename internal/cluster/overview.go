@@ -12,12 +12,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/edge"
 	"repro/internal/obs/tracestore"
 	"repro/pkg/api"
 )
@@ -61,8 +60,8 @@ func (g *Gateway) internalGet(ctx context.Context, st *nodeState, path string, o
 func (g *Gateway) handleTraceDebug(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var parts []api.TraceResponse
-	if t, ok := g.traces.Get(id); ok {
-		parts = append(parts, tracestore.ToAPI(t, "gateway"))
+	if part, ok := g.edge.Trace(id); ok {
+		parts = append(parts, part)
 	}
 	if g.token != "" {
 		var (
@@ -92,11 +91,11 @@ func (g *Gateway) handleTraceDebug(w http.ResponseWriter, r *http.Request) {
 		parts = append(parts, nodeParts...)
 	}
 	if len(parts) == 0 {
-		writeErr(w, http.StatusNotFound, api.CodeNotFound,
+		edge.WriteErr(w, http.StatusNotFound, api.CodeNotFound,
 			fmt.Errorf("no retained trace %q on any cluster member (sampled out, evicted, or never seen)", id), nil)
 		return
 	}
-	writeJSON(w, http.StatusOK, tracestore.MergeParts(id, parts))
+	edge.WriteJSON(w, http.StatusOK, tracestore.MergeParts(id, parts))
 }
 
 // sortTraceParts orders fetched trace parts by origin (then start time,
@@ -124,7 +123,7 @@ func sortTraceParts(parts []api.TraceResponse) {
 func (g *Gateway) handleOverview(w http.ResponseWriter, r *http.Request) {
 	out := api.ClusterOverviewResponse{
 		Replication: g.rfactor,
-		Gateway:     loadSeriesAPI("gateway", g.loads),
+		Gateway:     g.edge.LoadSeries(),
 		Nodes:       make([]api.OverviewNode, len(g.mem.nodes)),
 	}
 	var wg sync.WaitGroup
@@ -146,55 +145,5 @@ func (g *Gateway) handleOverview(w http.ResponseWriter, r *http.Request) {
 		}(i, st)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, out)
-}
-
-// loadSample builds the gateway's self-observation closure for the load
-// sampler: edge throughput since the last tick, lifetime latency
-// quantiles, inflight requests, and heap pressure. QueueDepth stays 0 —
-// the gateway has no estimation queue.
-func (g *Gateway) loadSample() func(elapsed time.Duration) obs.LoadSample {
-	var lastReqs uint64
-	return func(elapsed time.Duration) obs.LoadSample {
-		reqs := g.metrics.totalRequests()
-		qps := 0.0
-		if secs := elapsed.Seconds(); secs > 0 {
-			qps = float64(reqs-lastReqs) / secs
-		}
-		lastReqs = reqs
-		p50, p95, p99 := g.metrics.OverallQuantiles()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return obs.LoadSample{
-			At:         time.Now(),
-			QPS:        qps,
-			P50:        p50,
-			P95:        p95,
-			P99:        p99,
-			Inflight:   g.inflight.Load(),
-			HeapBytes:  ms.HeapAlloc,
-			Goroutines: runtime.NumGoroutine(),
-		}
-	}
-}
-
-// loadSeriesAPI converts a load ring to its wire form. (The node server
-// carries its own copy; internal/cluster does not import it.)
-func loadSeriesAPI(origin string, ring *obs.LoadRing) api.LoadSeries {
-	samples := ring.Samples()
-	out := api.LoadSeries{Origin: origin, Samples: make([]api.LoadSample, len(samples))}
-	for i, s := range samples {
-		out.Samples[i] = api.LoadSample{
-			UnixMillis: s.At.UnixMilli(),
-			QPS:        s.QPS,
-			P50Millis:  s.P50 * 1000,
-			P95Millis:  s.P95 * 1000,
-			P99Millis:  s.P99 * 1000,
-			Inflight:   s.Inflight,
-			QueueDepth: s.QueueDepth,
-			HeapBytes:  s.HeapBytes,
-			Goroutines: s.Goroutines,
-		}
-	}
-	return out
+	edge.WriteJSON(w, http.StatusOK, out)
 }

@@ -162,7 +162,7 @@ func (r *replicator) getRelease(st *nodeState, id string) (rel api.Release, foun
 // reconcile re-derives desired placement from the live catalogs and ships
 // every missing copy: the idempotent convergence sweep.
 func (r *replicator) reconcile() {
-	defer r.g.metrics.addSweep()
+	defer r.g.replSweeps.Add(1)
 	holders := make(map[string][]*nodeState)
 	for _, st := range r.g.mem.nodes {
 		if !st.alive.Load() {
@@ -208,22 +208,22 @@ func (r *replicator) replicate(id string, holders []*nodeState) {
 			var err error
 			fetchStart := time.Now()
 			env, err = r.fetchEnvelope(id, holders)
-			r.g.metrics.observeStage("gateway.replication_fetch", time.Since(fetchStart))
+			r.g.stages.Observe("gateway.replication_fetch", time.Since(fetchStart))
 			if err != nil {
-				r.g.metrics.addReplication(0, err)
+				r.g.countReplication(0, err)
 				r.g.logger.Warn("fetching snapshot failed", "release_id", id, "err", err)
 				return
 			}
 		}
 		pushStart := time.Now()
 		err := r.ship(id, st, env)
-		r.g.metrics.observeStage("gateway.replication_push", time.Since(pushStart))
+		r.g.stages.Observe("gateway.replication_push", time.Since(pushStart))
 		if err != nil {
-			r.g.metrics.addReplication(0, err)
+			r.g.countReplication(0, err)
 			r.g.logger.Warn("replicating snapshot failed", "release_id", id, "node", st.node.ID, "err", err)
 			continue
 		}
-		r.g.metrics.addReplication(len(env), nil)
+		r.g.countReplication(len(env), nil)
 		r.g.logger.Info("replicated snapshot", "release_id", id, "node", st.node.ID, "bytes", len(env))
 	}
 }

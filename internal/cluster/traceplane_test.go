@@ -392,6 +392,16 @@ func TestTraceStoreBoundedUnderBurst(t *testing.T) {
 	ts := httptest.NewServer(gw)
 	t.Cleanup(func() { ts.Close(); gw.Close() })
 
+	// The node's 1-in-N sampler always keeps its first commit. Spend it on
+	// a direct probe so the node never holds request #1, which the gateway
+	// would otherwise assemble from the node's part — a race with the
+	// gateway's own startup probe.
+	if resp, err := httpGet(node.url() + "/healthz"); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+	}
+
 	ctx := context.Background()
 	gwc := client.New(ts.URL)
 	const burst = 200

@@ -1,0 +1,88 @@
+package edge
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"strings"
+
+	"repro/internal/obs"
+	"repro/pkg/api"
+)
+
+// WriteJSON writes v as the response body with status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(v)
+}
+
+// WriteErr emits the structured error envelope every route of both roles
+// shares. The request ID Wrap staged as a response header is mirrored
+// into details so error reports are grep-able against server logs without
+// the caller having captured the header. Under Wrap, the error code is
+// captured too, so the retained trace carries the failure class.
+func WriteErr(w http.ResponseWriter, status int, code string, err error, details map[string]any) {
+	if rec, ok := w.(*recorder); ok {
+		rec.errCode = code
+	}
+	if id := w.Header().Get(obs.HeaderRequestID); id != "" {
+		if details == nil {
+			details = make(map[string]any, 1)
+		}
+		if _, ok := details["request_id"]; !ok {
+			details["request_id"] = id
+		}
+	}
+	WriteJSON(w, status, api.Envelope{Error: api.Error{Code: code, Message: err.Error(), Details: details}})
+}
+
+// WriteBodyErr reports a failure to read or decode the request body: 413
+// too_large when the body tripped http.MaxBytesReader, 400
+// invalid_request otherwise.
+func WriteBodyErr(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		WriteErr(w, http.StatusRequestEntityTooLarge, api.CodeTooLarge, err, nil)
+		return
+	}
+	WriteErr(w, http.StatusBadRequest, api.CodeInvalidRequest, err, nil)
+}
+
+// DecodeBatch reads a POST /v1/query:batch body of at most limit bytes
+// and checks its shape. On false the error envelope has been written.
+func DecodeBatch(w http.ResponseWriter, r *http.Request, limit int64) (api.BatchQueryRequest, bool) {
+	var req api.BatchQueryRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&req); err != nil {
+		WriteBodyErr(w, fmt.Errorf("decoding request: %w", err))
+		return req, false
+	}
+	if req.ReleaseID == "" {
+		WriteErr(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Errorf("release_id is required"), nil)
+		return req, false
+	}
+	if len(req.Queries) == 0 {
+		WriteErr(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Errorf("queries is empty"), nil)
+		return req, false
+	}
+	return req, true
+}
+
+// EvaluateTarget resolves POST /v1/releases/{action} to the release ID
+// of its "{id}:evaluate" verb, the only one; the mux wildcard must span a
+// whole segment, so the colon is split here. On false the 404 envelope
+// has been written.
+func EvaluateTarget(w http.ResponseWriter, r *http.Request) (string, bool) {
+	action := r.PathValue("action")
+	id, verb, ok := strings.Cut(action, ":")
+	if !ok || id == "" || verb != "evaluate" {
+		WriteErr(w, http.StatusNotFound, api.CodeNotFound,
+			fmt.Errorf("no route for POST /v1/releases/%s", action),
+			map[string]any{"actions": []string{"{id}:evaluate"}})
+		return "", false
+	}
+	return id, true
+}

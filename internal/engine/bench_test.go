@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -33,7 +34,7 @@ func BenchmarkEngineSingleUncached10kECs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % len(pool)
-		if _, err := e.Execute("r-000001", snap, pool[j:j+1]); err != nil {
+		if _, err := e.Execute(context.Background(), "r-000001", snap, pool[j:j+1]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -43,7 +44,7 @@ func BenchmarkEngineBatch64Cold10kECs(b *testing.B) {
 	e, snap, pool := benchEngine(b, Options{CacheCapacity: -1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute("r-000001", snap, pool[:64]); err != nil {
+		if _, err := e.Execute(context.Background(), "r-000001", snap, pool[:64]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -64,7 +65,7 @@ func BenchmarkEngineGroupByBatch16Cold10kECs(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute("r-000001", snap, grouped); err != nil {
+		if _, err := e.Execute(context.Background(), "r-000001", snap, grouped); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -73,12 +74,12 @@ func BenchmarkEngineGroupByBatch16Cold10kECs(b *testing.B) {
 
 func BenchmarkEngineBatch64WarmCache10kECs(b *testing.B) {
 	e, snap, pool := benchEngine(b, Options{})
-	if _, err := e.Execute("r-000001", snap, pool[:64]); err != nil { // warm
+	if _, err := e.Execute(context.Background(), "r-000001", snap, pool[:64]); err != nil { // warm
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute("r-000001", snap, pool[:64]); err != nil {
+		if _, err := e.Execute(context.Background(), "r-000001", snap, pool[:64]); err != nil {
 			b.Fatal(err)
 		}
 	}

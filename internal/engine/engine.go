@@ -262,13 +262,7 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Execute answers qs against one release, in order. It is ExecuteCtx
-// without request-scoped tracing; both record stage latencies.
-func (e *Engine) Execute(releaseID string, snap *release.Snapshot, qs []query.Query) ([]Result, error) {
-	return e.ExecuteCtx(context.Background(), releaseID, snap, qs)
-}
-
-// ExecuteCtx answers qs against one release, in order. The release ID
+// Execute answers qs against one release, in order. The release ID
 // keys the cache and must be the store ID of the snapshot's release; the
 // snapshot is resolved by the caller so the engine stays independent of
 // the store's lifecycle states. When ctx carries an obs trace, the cache
@@ -281,7 +275,7 @@ func (e *Engine) Execute(releaseID string, snap *release.Snapshot, qs []query.Qu
 // Cache misses are deduplicated within the batch and fanned out across
 // the worker pool; a single miss is estimated inline on the caller's
 // goroutine, so single-query callers pay no handoff.
-func (e *Engine) ExecuteCtx(ctx context.Context, releaseID string, snap *release.Snapshot, qs []query.Query) ([]Result, error) {
+func (e *Engine) Execute(ctx context.Context, releaseID string, snap *release.Snapshot, qs []query.Query) ([]Result, error) {
 	if len(qs) > e.maxBatch {
 		return nil, fmt.Errorf("%w: %d queries > limit %d", ErrBatchTooLarge, len(qs), e.maxBatch)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -39,7 +40,7 @@ func TestExecuteMatchesDirect(t *testing.T) {
 	e := New(Options{Workers: 4})
 	defer e.Close()
 	qs := genQueries(t, schema, 100, 2)
-	res, err := e.Execute("r-000001", snap, qs)
+	res, err := e.Execute(context.Background(), "r-000001", snap, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestCacheHitsOnRepeat(t *testing.T) {
 	e := New(Options{Workers: 2})
 	defer e.Close()
 	qs := genQueries(t, schema, 32, 4)
-	first, err := e.Execute("r-000001", snap, qs)
+	first, err := e.Execute(context.Background(), "r-000001", snap, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestCacheHitsOnRepeat(t *testing.T) {
 			t.Fatalf("query %d cached on a cold cache", i)
 		}
 	}
-	second, err := e.Execute("r-000001", snap, qs)
+	second, err := e.Execute(context.Background(), "r-000001", snap, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestBatchLocalDedup(t *testing.T) {
 	for i := range qs {
 		qs[i] = q
 	}
-	res, err := e.Execute("r-000001", snap, qs)
+	res, err := e.Execute(context.Background(), "r-000001", snap, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +132,10 @@ func TestSignatureCanonicalization(t *testing.T) {
 	defer e.Close()
 	a := query.Query{Dims: []int{0, 2}, Lo: []float64{20, 1}, Hi: []float64{40, 8}, SALo: 0, SAHi: 9}
 	b := query.Query{Dims: []int{2, 0}, Lo: []float64{1, 20}, Hi: []float64{8, 40}, SALo: 0, SAHi: 9}
-	if _, err := e.Execute("r-000001", snap, []query.Query{a}); err != nil {
+	if _, err := e.Execute(context.Background(), "r-000001", snap, []query.Query{a}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute("r-000001", snap, []query.Query{b})
+	res, err := e.Execute(context.Background(), "r-000001", snap, []query.Query{b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +153,11 @@ func TestSignatureNegativeZero(t *testing.T) {
 	defer e.Close()
 	a := query.Query{Dims: []int{0}, Lo: []float64{0}, Hi: []float64{40}, SALo: 0, SAHi: 9}
 	b := query.Query{Dims: []int{0}, Lo: []float64{math.Copysign(0, -1)}, Hi: []float64{40}, SALo: 0, SAHi: 9}
-	ra, err := e.Execute("r-000001", snap, []query.Query{a})
+	ra, err := e.Execute(context.Background(), "r-000001", snap, []query.Query{a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := e.Execute("r-000001", snap, []query.Query{b})
+	rb, err := e.Execute(context.Background(), "r-000001", snap, []query.Query{b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestGroupByExecute(t *testing.T) {
 	if len(cells) != 8 {
 		t.Fatalf("expanded to %d cells, want 8", len(cells))
 	}
-	res, err := e.Execute("r-000001", snap, []query.Query{q})
+	res, err := e.Execute(context.Background(), "r-000001", snap, []query.Query{q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestGroupByExecute(t *testing.T) {
 			t.Fatalf("cell %d: engine %v, direct %v", ci, g.Estimate, want)
 		}
 	}
-	again, err := e.Execute("r-000001", snap, []query.Query{q})
+	again, err := e.Execute(context.Background(), "r-000001", snap, []query.Query{q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestGroupByCSE(t *testing.T) {
 		GroupBy: []int{2}, GroupBuckets: []int{4},
 	}
 	cells := query.GroupCells(schema, q)
-	res, err := e.Execute("r-000001", snap, []query.Query{q, q, cells[0].Query})
+	res, err := e.Execute(context.Background(), "r-000001", snap, []query.Query{q, q, cells[0].Query})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestMaxUnitsGuard(t *testing.T) {
 	e := New(Options{Workers: 1, MaxUnits: 4})
 	defer e.Close()
 	q := query.Query{SALo: 0, SAHi: 9, GroupBy: []int{2}} // 16 default buckets > 4 units
-	if _, err := e.Execute("r-000001", snap, []query.Query{q}); !errors.Is(err, ErrBatchTooLarge) {
+	if _, err := e.Execute(context.Background(), "r-000001", snap, []query.Query{q}); !errors.Is(err, ErrBatchTooLarge) {
 		t.Fatalf("oversized expansion: %v", err)
 	}
 }
@@ -284,11 +285,11 @@ func TestNoCrossReleaseHits(t *testing.T) {
 	e := New(Options{Workers: 2})
 	defer e.Close()
 	qs := genQueries(t, schema, 16, 10)
-	ra, err := e.Execute("r-000001", snapA, qs)
+	ra, err := e.Execute(context.Background(), "r-000001", snapA, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := e.Execute("r-000002", snapB, qs)
+	rb, err := e.Execute(context.Background(), "r-000002", snapB, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,18 +311,18 @@ func TestErrors(t *testing.T) {
 	snap, schema := syntheticSnapshot(100, 11)
 	e := New(Options{Workers: 1, MaxBatch: 4})
 	qs := genQueries(t, schema, 5, 12)
-	if _, err := e.Execute("r-000001", snap, qs); !errors.Is(err, ErrBatchTooLarge) {
+	if _, err := e.Execute(context.Background(), "r-000001", snap, qs); !errors.Is(err, ErrBatchTooLarge) {
 		t.Fatalf("oversized batch: %v", err)
 	}
 	bad := []query.Query{qs[0], {Dims: []int{99}, Lo: []float64{0}, Hi: []float64{1}}}
-	_, err := e.Execute("r-000001", snap, bad)
+	_, err := e.Execute(context.Background(), "r-000001", snap, bad)
 	var qe *QueryError
 	if !errors.As(err, &qe) || qe.Index != 1 {
 		t.Fatalf("invalid query: %v", err)
 	}
 	e.Close()
 	e.Close() // idempotent
-	if _, err := e.Execute("r-000001", snap, qs[:1]); !errors.Is(err, ErrClosed) {
+	if _, err := e.Execute(context.Background(), "r-000001", snap, qs[:1]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed engine: %v", err)
 	}
 }
@@ -334,7 +335,7 @@ func TestCacheDisabled(t *testing.T) {
 	defer e.Close()
 	qs := genQueries(t, schema, 8, 14)
 	for round := 0; round < 2; round++ {
-		res, err := e.Execute("r-000001", snap, qs)
+		res, err := e.Execute(context.Background(), "r-000001", snap, qs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,16 +361,16 @@ func TestCacheEviction(t *testing.T) {
 	e := New(Options{Workers: 2, CacheCapacity: 32, CacheShards: 4})
 	defer e.Close()
 	qs := genQueries(t, schema, 200, 16)
-	if _, err := e.Execute("r-000001", snap, qs[:100]); err != nil {
+	if _, err := e.Execute(context.Background(), "r-000001", snap, qs[:100]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Execute("r-000001", snap, qs[100:]); err != nil {
+	if _, err := e.Execute(context.Background(), "r-000001", snap, qs[100:]); err != nil {
 		t.Fatal(err)
 	}
 	if n := e.Stats().CacheEntries; n > 32+4 { // per-shard rounding slack
 		t.Fatalf("cache holds %d entries, capacity 32", n)
 	}
-	res, err := e.Execute("r-000001", snap, qs[190:])
+	res, err := e.Execute(context.Background(), "r-000001", snap, qs[190:])
 	if err != nil {
 		t.Fatal(err)
 	}

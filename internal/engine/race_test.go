@@ -103,7 +103,7 @@ func TestConcurrentStoreAndCache(t *testing.T) {
 					errCh <- err
 					return
 				}
-				res, err := e.Execute(ids[r], snap, batch)
+				res, err := e.Execute(context.Background(), ids[r], snap, batch)
 				if err != nil {
 					errCh <- err
 					return

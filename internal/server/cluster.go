@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/edge"
 	"repro/internal/obs"
 	"repro/internal/release"
 	"repro/pkg/api"
@@ -32,14 +33,14 @@ import (
 func (s *Server) requireCluster(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.clusterToken == "" {
-			writeErr(w, http.StatusForbidden, api.CodeForbidden,
+			edge.WriteErr(w, http.StatusForbidden, api.CodeForbidden,
 				fmt.Errorf("cluster endpoints are disabled: the server runs without a cluster token"), nil)
 			return
 		}
 		auth := r.Header.Get("Authorization")
 		token, ok := strings.CutPrefix(auth, "Bearer ")
 		if !ok || subtle.ConstantTimeCompare([]byte(token), []byte(s.clusterToken)) != 1 {
-			writeErr(w, http.StatusForbidden, api.CodeForbidden,
+			edge.WriteErr(w, http.StatusForbidden, api.CodeForbidden,
 				fmt.Errorf("missing or wrong cluster token"), nil)
 			return
 		}
@@ -55,7 +56,7 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	meta, ok := s.store.Get(id)
 	if !ok {
-		writeErr(w, http.StatusNotFound, api.CodeNotFound, fmt.Errorf("%w: %q", release.ErrNotFound, id), nil)
+		edge.WriteErr(w, http.StatusNotFound, api.CodeNotFound, fmt.Errorf("%w: %q", release.ErrNotFound, id), nil)
 		return
 	}
 	snap, ok := s.resolveSnapshot(w, id)
@@ -69,12 +70,12 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 	s.store.Stages().Observe("store.snapshot_encode", time.Since(encodeStart))
 	endEncode()
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, api.CodeInternal, err, nil)
+		edge.WriteErr(w, http.StatusInternalServerError, api.CodeInternal, err, nil)
 		return
 	}
 	env, err := cluster.EncodeEnvelope(id, s.store.Node(), data)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, api.CodeInternal, err, nil)
+		edge.WriteErr(w, http.StatusInternalServerError, api.CodeInternal, err, nil)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -89,12 +90,12 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
-		writeErr(w, decodeStatus(err), decodeCode(err), fmt.Errorf("reading envelope: %w", err), nil)
+		edge.WriteBodyErr(w, fmt.Errorf("reading envelope: %w", err))
 		return
 	}
 	id, _, snapBytes, err := cluster.DecodeEnvelope(body)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, api.CodeInvalidRequest, err, nil)
+		edge.WriteErr(w, http.StatusBadRequest, api.CodeInvalidRequest, err, nil)
 		return
 	}
 	tr := obs.TraceFrom(r.Context())
@@ -104,7 +105,7 @@ func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
 	s.store.Stages().Observe("store.snapshot_decode", time.Since(decodeStart))
 	endDecode()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, api.CodeInvalidRequest,
+		edge.WriteErr(w, http.StatusBadRequest, api.CodeInvalidRequest,
 			fmt.Errorf("envelope for %s: %w", id, err), map[string]any{"release_id": id})
 		return
 	}
@@ -114,15 +115,15 @@ func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
 		// shipping gateway tries again on its next reconcile sweep.
 		if errors.Is(err, release.ErrClosed) || errors.Is(err, release.ErrNotReady) {
 			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusServiceUnavailable, api.CodeUnavailable, err, nil)
+			edge.WriteErr(w, http.StatusServiceUnavailable, api.CodeUnavailable, err, nil)
 			return
 		}
-		writeErr(w, http.StatusBadRequest, api.CodeInvalidRequest, err, nil)
+		edge.WriteErr(w, http.StatusBadRequest, api.CodeInvalidRequest, err, nil)
 		return
 	}
 	code := http.StatusOK
 	if created {
 		code = http.StatusCreated
 	}
-	writeJSON(w, code, metaToAPI(meta))
+	edge.WriteJSON(w, code, metaToAPI(meta))
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strings"
 
+	"repro/internal/edge"
 	"repro/internal/eval"
 	"repro/internal/microdata"
 	"repro/internal/obs"
@@ -29,33 +30,24 @@ func evalToAPI(m eval.Meta) api.Evaluation {
 	}
 }
 
-// handleReleaseAction dispatches POST /v1/releases/{id}:{verb}. The mux
-// wildcard must span a whole segment, so the colon verb is split here.
-func (s *Server) handleReleaseAction(w http.ResponseWriter, r *http.Request) {
-	action := r.PathValue("action")
-	id, verb, ok := strings.Cut(action, ":")
-	if !ok || id == "" || verb != "evaluate" {
-		writeErr(w, http.StatusNotFound, api.CodeNotFound,
-			fmt.Errorf("no route for POST /v1/releases/%s", action),
-			map[string]any{"actions": []string{"{id}:evaluate"}})
+// handleEvaluate submits an asynchronous evaluation job on POST
+// /v1/releases/{id}:evaluate: the body carries the release's original
+// microdata (the store never retains it) plus workload knobs, and the 202
+// response is the job's pending state. The client polls GET
+// /v1/releases/{id}/evaluation to the terminal verdict.
+func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
+	id, ok := edge.EvaluateTarget(w, r)
+	if !ok {
 		return
 	}
-	s.handleEvaluate(w, r, id)
-}
-
-// handleEvaluate submits an asynchronous evaluation job: the body carries
-// the release's original microdata (the store never retains it) plus
-// workload knobs, and the 202 response is the job's pending state. The
-// client polls GET /v1/releases/{id}/evaluation to the terminal verdict.
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request, id string) {
 	var req api.EvaluateRequest
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeErr(w, decodeStatus(err), decodeCode(err), fmt.Errorf("decoding request: %w", err), nil)
+		edge.WriteBodyErr(w, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	if strings.TrimSpace(req.CSV) == "" {
-		writeErr(w, http.StatusBadRequest, api.CodeInvalidRequest,
+		edge.WriteErr(w, http.StatusBadRequest, api.CodeInvalidRequest,
 			fmt.Errorf("csv field is empty: evaluation needs the release's original microdata re-uploaded"), nil)
 		return
 	}
@@ -64,18 +56,18 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request, id strin
 	meta, ok := s.store.Get(id)
 	endResolve()
 	if !ok {
-		writeErr(w, http.StatusNotFound, api.CodeNotFound, fmt.Errorf("%w: %q", release.ErrNotFound, id), nil)
+		edge.WriteErr(w, http.StatusNotFound, api.CodeNotFound, fmt.Errorf("%w: %q", release.ErrNotFound, id), nil)
 		return
 	}
 	switch meta.Status {
 	case release.StatusPending, release.StatusBuilding:
 		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusServiceUnavailable, api.CodeNotReady,
+		edge.WriteErr(w, http.StatusServiceUnavailable, api.CodeNotReady,
 			fmt.Errorf("%w: release %s is %s", release.ErrNotReady, id, meta.Status),
 			map[string]any{"status": string(meta.Status)})
 		return
 	case release.StatusFailed:
-		writeErr(w, http.StatusConflict, api.CodeBuildFailed,
+		edge.WriteErr(w, http.StatusConflict, api.CodeBuildFailed,
 			fmt.Errorf("%w: release %s failed: %s", release.ErrNotReady, id, meta.Error), nil)
 		return
 	}
@@ -90,7 +82,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request, id strin
 	tab, err := microdata.ReadCSV(strings.NewReader(req.CSV), schema)
 	endParse()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, api.CodeInvalidRequest, err, nil)
+		edge.WriteErr(w, http.StatusBadRequest, api.CodeInvalidRequest, err, nil)
 		return
 	}
 	p := eval.Params{
@@ -107,21 +99,21 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request, id strin
 	if err != nil {
 		switch {
 		case errors.Is(err, eval.ErrRunning):
-			writeErr(w, http.StatusConflict, api.CodeConflict, err, nil)
+			edge.WriteErr(w, http.StatusConflict, api.CodeConflict, err, nil)
 		case errors.Is(err, eval.ErrQueueFull), errors.Is(err, eval.ErrClosed):
 			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusServiceUnavailable, api.CodeUnavailable, err, nil)
+			edge.WriteErr(w, http.StatusServiceUnavailable, api.CodeUnavailable, err, nil)
 		case errors.Is(err, release.ErrNotFound):
-			writeErr(w, http.StatusNotFound, api.CodeNotFound, err, nil)
+			edge.WriteErr(w, http.StatusNotFound, api.CodeNotFound, err, nil)
 		case errors.Is(err, release.ErrNotReady):
 			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusServiceUnavailable, api.CodeNotReady, err, nil)
+			edge.WriteErr(w, http.StatusServiceUnavailable, api.CodeNotReady, err, nil)
 		default:
-			writeErr(w, http.StatusBadRequest, api.CodeInvalidRequest, err, nil)
+			edge.WriteErr(w, http.StatusBadRequest, api.CodeInvalidRequest, err, nil)
 		}
 		return
 	}
-	writeJSON(w, http.StatusAccepted, evalToAPI(em))
+	edge.WriteJSON(w, http.StatusAccepted, evalToAPI(em))
 }
 
 // handleGetEvaluation reports a release's evaluation state in any phase;
@@ -132,28 +124,12 @@ func (s *Server) handleGetEvaluation(w http.ResponseWriter, r *http.Request) {
 	em, ok := s.eval.Get(id)
 	if !ok {
 		if _, exists := s.store.Get(id); !exists {
-			writeErr(w, http.StatusNotFound, api.CodeNotFound, fmt.Errorf("%w: %q", release.ErrNotFound, id), nil)
+			edge.WriteErr(w, http.StatusNotFound, api.CodeNotFound, fmt.Errorf("%w: %q", release.ErrNotFound, id), nil)
 			return
 		}
-		writeErr(w, http.StatusNotFound, api.CodeNotFound,
+		edge.WriteErr(w, http.StatusNotFound, api.CodeNotFound,
 			fmt.Errorf("release %s has no evaluation; submit one with POST /v1/releases/%s:evaluate", id, id), nil)
 		return
 	}
-	writeJSON(w, http.StatusOK, evalToAPI(em))
-}
-
-// evalStats projects the evaluation service's state for /metrics.
-func (s *Server) evalStats() EvalStats {
-	rec := s.eval.Recovery()
-	st := EvalStats{
-		Counts:               make(map[string]int),
-		RecoveredDone:        rec.Done,
-		RecoveredFailed:      rec.Failed,
-		RecoveredInterrupted: rec.Interrupted,
-		RecoveredCorrupt:     rec.Corrupt,
-	}
-	for _, m := range s.eval.List() {
-		st.Counts[string(m.Status)]++
-	}
-	return st
+	edge.WriteJSON(w, http.StatusOK, evalToAPI(em))
 }

@@ -37,20 +37,18 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/anon"
 	"repro/internal/census"
+	"repro/internal/edge"
 	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/microdata"
@@ -104,7 +102,7 @@ type Server struct {
 	engine  *engine.Engine
 	eval    *eval.Service
 	schema  *microdata.Schema
-	metrics *Metrics
+	edge    *edge.Edge
 	mux     *http.ServeMux
 	maxBody int64
 	// Query-route body caps, bounded independently of maxBody: that
@@ -113,13 +111,6 @@ type Server struct {
 	// text into GBs of slices before any validation could reject it.
 	maxQueryBody, maxBatchBody int64
 	clusterToken               string
-	logger                     *slog.Logger
-	slow                       obs.SlowQueryLogger
-
-	traces   *tracestore.Store
-	loads    *obs.LoadRing
-	sampler  *obs.LoadSampler
-	inflight atomic.Int64
 }
 
 // New wires the API around a store. On a durable store it also opens the
@@ -136,11 +127,9 @@ func New(store *release.Store, opts Options) (*Server, error) {
 		engine:       engine.New(opts.Engine),
 		eval:         evalSvc,
 		schema:       opts.Schema,
-		metrics:      NewMetrics(),
 		mux:          http.NewServeMux(),
 		maxBody:      opts.MaxBodyBytes,
 		clusterToken: opts.ClusterToken,
-		logger:       opts.Logger,
 	}
 	if s.schema == nil {
 		s.schema = census.Schema()
@@ -148,36 +137,38 @@ func New(store *release.Store, opts Options) (*Server, error) {
 	if s.maxBody <= 0 {
 		s.maxBody = 256 << 20
 	}
-	if s.logger == nil {
-		s.logger = slog.Default()
-	}
-	s.slow = obs.SlowQueryLogger{Logger: s.logger, Threshold: opts.SlowQuery}
 	s.maxQueryBody = min(1<<20, s.maxBody)
 	s.maxBatchBody = min(8<<20, s.maxBody)
-	if opts.Trace.SlowThreshold == 0 && opts.SlowQuery > 0 {
-		opts.Trace.SlowThreshold = opts.SlowQuery
-	}
-	s.traces = tracestore.New(opts.Trace)
-	if opts.LoadSampleInterval >= 0 {
-		s.loads = obs.NewLoadRing(0)
-		s.sampler = obs.StartLoadSampler(s.loads, opts.LoadSampleInterval, s.loadSample())
-	}
-	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", s.metrics.handler(s.releaseCounts, s.evalStats, s.engine.Stats, s.persistStats, s.extraGauges, s.engine.Stages(), store.Stages(), evalSvc.Stages())))
-	s.mux.HandleFunc("POST /v1/releases", s.instrument("create_release", s.handleCreate))
-	s.mux.HandleFunc("GET /v1/releases", s.instrument("list_releases", s.handleList))
-	s.mux.HandleFunc("GET /v1/releases/{id}", s.instrument("get_release", s.handleGet))
-	s.mux.HandleFunc("POST /v1/releases/{id}/query", s.instrument("query_release", s.handleQuery))
+	// The load sampler's throughput is engine queries, not requests: a
+	// batch of 64 is 64 units of work.
+	s.edge = edge.New(nodeRole, edge.Options{
+		Node:               store.Node(),
+		Logger:             opts.Logger,
+		SlowQuery:          opts.SlowQuery,
+		Trace:              opts.Trace,
+		LoadSampleInterval: opts.LoadSampleInterval,
+		Work:               func() (uint64, int) { return s.engine.Stats().Queries, s.engine.QueueDepth() },
+	})
+	instrument := s.edge.Wrap
+	s.mux.HandleFunc("GET /healthz", instrument("healthz", s.handleHealthz))
+	s.mux.HandleFunc("GET /metrics", instrument("metrics", s.edge.MetricsHandler(s.writeMetrics)))
+	s.mux.HandleFunc("POST /v1/releases", instrument("create_release", s.handleCreate))
+	s.mux.HandleFunc("GET /v1/releases", instrument("list_releases", s.handleList))
+	s.mux.HandleFunc("GET /v1/releases/{id}", instrument("get_release", s.handleGet))
+	s.mux.HandleFunc("POST /v1/releases/{id}/query", instrument("query_release", s.handleQuery))
 	// {action} spans the "{id}:evaluate" segment; mux wildcards cannot
 	// split on the colon, so the handler does.
-	s.mux.HandleFunc("POST /v1/releases/{action}", s.instrument("release_action", s.handleReleaseAction))
-	s.mux.HandleFunc("GET /v1/releases/{id}/evaluation", s.instrument("get_evaluation", s.handleGetEvaluation))
-	s.mux.HandleFunc("POST /v1/query:batch", s.instrument("batch_query", s.handleBatchQuery))
-	s.mux.HandleFunc("GET /v1/internal/snapshot/{id}", s.instrument("internal_snapshot_get", s.requireCluster(s.handleSnapshotGet)))
-	s.mux.HandleFunc("POST /v1/internal/snapshot", s.instrument("internal_snapshot_put", s.requireCluster(s.handleSnapshotPut)))
-	s.mux.HandleFunc("GET /v1/debug/traces/{id}", s.instrument("debug_trace", s.handleTraceDebug))
-	s.mux.HandleFunc("GET /v1/internal/traces/{id}", s.instrument("internal_trace_get", s.requireCluster(s.handleTraceDebug)))
-	s.mux.HandleFunc("GET /v1/internal/load", s.instrument("internal_load", s.requireCluster(s.handleLoadInternal)))
+	s.mux.HandleFunc("POST /v1/releases/{action}", instrument("release_action", s.handleEvaluate))
+	s.mux.HandleFunc("GET /v1/releases/{id}/evaluation", instrument("get_evaluation", s.handleGetEvaluation))
+	s.mux.HandleFunc("POST /v1/query:batch", instrument("batch_query", s.handleBatchQuery))
+	s.mux.HandleFunc("GET /v1/internal/snapshot/{id}", instrument("internal_snapshot_get", s.requireCluster(s.handleSnapshotGet)))
+	s.mux.HandleFunc("POST /v1/internal/snapshot", instrument("internal_snapshot_put", s.requireCluster(s.handleSnapshotPut)))
+	// Trace-plane reads: the locally retained traces, ungated on /v1/debug
+	// for single-process debugging and Bearer-gated on /v1/internal for the
+	// gateway's cross-node assembly, plus the load series for its overview.
+	s.mux.HandleFunc("GET /v1/debug/traces/{id}", instrument("debug_trace", s.edge.HandleTrace))
+	s.mux.HandleFunc("GET /v1/internal/traces/{id}", instrument("internal_trace_get", s.requireCluster(s.edge.HandleTrace)))
+	s.mux.HandleFunc("GET /v1/internal/load", instrument("internal_load", s.requireCluster(s.edge.HandleLoad)))
 	s.mux.Handle("/debug/pprof/", obs.PprofHandler(opts.ClusterToken))
 	return s, nil
 }
@@ -185,7 +176,7 @@ func New(store *release.Store, opts Options) (*Server, error) {
 // Close stops the query engine's worker pool, the evaluation service,
 // and the load sampler. The store's lifecycle is owned by the caller.
 func (s *Server) Close() {
-	s.sampler.Close()
+	s.edge.Close()
 	s.engine.Close()
 	s.eval.Close()
 }
@@ -193,104 +184,6 @@ func (s *Server) Close() {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
-}
-
-// instrument wraps a handler with request observability: a request ID
-// (propagated from upstream via traceparent/X-Request-Id or minted here)
-// echoed as the X-Request-Id response header, a span trace on the request
-// context, per-route metrics with bucket exemplars, a debug-level access
-// log line, the slow-query log, and — applying the tail-retention policy
-// — a commit into the trace store. The response header is set before the
-// handler runs so writeErr can embed the ID in every error envelope.
-func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	node := s.store.Node()
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.inflight.Add(1)
-		// Deferred, not inline after the handler: net/http recovers
-		// handler panics, and an inline decrement would leak the gauge —
-		// skewing every load sample — on each one.
-		defer s.inflight.Add(-1)
-		id, _ := obs.RequestIDFromHeaders(r.Header)
-		tr := obs.NewTrace(id)
-		// The route span anchors at the trace's own start so assembled
-		// documents never show it at a negative offset.
-		start := tr.Start()
-		w.Header().Set(obs.HeaderRequestID, id)
-		r = r.WithContext(obs.WithTrace(r.Context(), tr))
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h(rec, r)
-		total := time.Since(start)
-		tr.AddSpan("node."+route, node, start, total)
-		s.metrics.Observe(route, rec.code, total, id)
-		s.slow.Observe(route, rec.code, total, tr)
-		s.traces.Commit(tr, route, rec.code, rec.errCode, total)
-		s.logger.Debug("request",
-			"request_id", id,
-			"route", route,
-			"code", rec.code,
-			"release_id", tr.ReleaseID(),
-			"node", node,
-			"total_us", total.Microseconds(),
-		)
-	}
-}
-
-// loadSample builds the node's self-observation closure for the load
-// sampler: engine throughput since the last tick, lifetime latency
-// quantiles, inflight requests, engine queue depth, and heap pressure.
-func (s *Server) loadSample() func(elapsed time.Duration) obs.LoadSample {
-	var lastQueries uint64
-	return func(elapsed time.Duration) obs.LoadSample {
-		queries := s.engine.Stats().Queries
-		qps := 0.0
-		if secs := elapsed.Seconds(); secs > 0 {
-			qps = float64(queries-lastQueries) / secs
-		}
-		lastQueries = queries
-		p50, p95, p99 := s.metrics.OverallQuantiles()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return obs.LoadSample{
-			At:         time.Now(),
-			QPS:        qps,
-			P50:        p50,
-			P95:        p95,
-			P99:        p99,
-			Inflight:   s.inflight.Load(),
-			QueueDepth: s.engine.QueueDepth(),
-			HeapBytes:  ms.HeapAlloc,
-			Goroutines: runtime.NumGoroutine(),
-		}
-	}
-}
-
-// extraGauges renders the trace-store and inflight gauges this PR adds,
-// keeping the handler signature free of tracestore types.
-func (s *Server) extraGauges(buf *bytes.Buffer) {
-	writeInflightGauge(buf, s.inflight.Load())
-	writeTraceStoreGauges(buf, s.traces.Stats())
-}
-
-// persistStats projects the store's durability state for /metrics.
-func (s *Server) persistStats() PersistStats {
-	rec := s.store.Recovery()
-	return PersistStats{
-		Node:                 s.store.Node(),
-		Durable:              s.store.Durable(),
-		DiskBytes:            s.store.DiskSize(),
-		RecoveredReady:       rec.Ready,
-		RecoveredInterrupted: rec.Interrupted,
-		RecoveredFailed:      rec.Failed,
-		RecoveredCorrupt:     rec.Corrupt,
-	}
-}
-
-func (s *Server) releaseCounts() map[string]int {
-	counts := make(map[string]int)
-	for _, m := range s.store.List() {
-		counts[string(m.Status)]++
-	}
-	return counts
 }
 
 // handleHealthz reports liveness, plus the node identity when the store
@@ -337,22 +230,22 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req api.CreateReleaseRequest
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeErr(w, decodeStatus(err), decodeCode(err), fmt.Errorf("decoding request: %w", err), nil)
+		edge.WriteBodyErr(w, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	if strings.TrimSpace(req.Method) == "" {
-		writeErr(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Errorf("method field is empty"), map[string]any{"methods": anon.Methods()})
+		edge.WriteErr(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Errorf("method field is empty"), map[string]any{"methods": anon.Methods()})
 		return
 	}
 	if strings.TrimSpace(req.CSV) == "" {
-		writeErr(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Errorf("csv field is empty"), nil)
+		edge.WriteErr(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Errorf("csv field is empty"), nil)
 		return
 	}
 	// Resolve the method and decode its typed params before touching the
 	// CSV: a bad method name should not cost a table parse.
 	params, err := anon.UnmarshalParams(req.Method, req.Params)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, anonCode(err), err, map[string]any{"method": req.Method})
+		edge.WriteErr(w, http.StatusBadRequest, anonCode(err), err, map[string]any{"method": req.Method})
 		return
 	}
 	schema := s.schema
@@ -361,7 +254,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	tab, err := microdata.ReadCSV(strings.NewReader(req.CSV), schema)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, api.CodeInvalidRequest, err, nil)
+		edge.WriteErr(w, http.StatusBadRequest, api.CodeInvalidRequest, err, nil)
 		return
 	}
 	// QI is recorded for metadata fidelity; the table is already
@@ -373,13 +266,13 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		if errors.Is(err, release.ErrQueueFull) || errors.Is(err, release.ErrClosed) {
 			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusServiceUnavailable, api.CodeUnavailable, err, nil)
+			edge.WriteErr(w, http.StatusServiceUnavailable, api.CodeUnavailable, err, nil)
 			return
 		}
-		writeErr(w, http.StatusBadRequest, anonCode(err), err, nil)
+		edge.WriteErr(w, http.StatusBadRequest, anonCode(err), err, nil)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, metaToAPI(meta))
+	edge.WriteJSON(w, http.StatusAccepted, metaToAPI(meta))
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
@@ -388,17 +281,17 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	for i, m := range metas {
 		out.Releases[i] = metaToAPI(m)
 	}
-	writeJSON(w, http.StatusOK, out)
+	edge.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	meta, ok := s.store.Get(id)
 	if !ok {
-		writeErr(w, http.StatusNotFound, api.CodeNotFound, fmt.Errorf("no release %q", id), nil)
+		edge.WriteErr(w, http.StatusNotFound, api.CodeNotFound, fmt.Errorf("no release %q", id), nil)
 		return
 	}
-	writeJSON(w, http.StatusOK, metaToAPI(meta))
+	edge.WriteJSON(w, http.StatusOK, metaToAPI(meta))
 }
 
 // toQuery converts the wire form to the internal query type.
@@ -431,24 +324,24 @@ func toGroups(groups []engine.GroupResult) []api.GroupResult {
 func (s *Server) resolveSnapshot(w http.ResponseWriter, id string) (*release.Snapshot, bool) {
 	meta, ok := s.store.Get(id)
 	if !ok {
-		writeErr(w, http.StatusNotFound, api.CodeNotFound, fmt.Errorf("%w: %q", release.ErrNotFound, id), nil)
+		edge.WriteErr(w, http.StatusNotFound, api.CodeNotFound, fmt.Errorf("%w: %q", release.ErrNotFound, id), nil)
 		return nil, false
 	}
 	switch meta.Status {
 	case release.StatusPending, release.StatusBuilding:
 		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusServiceUnavailable, api.CodeNotReady,
+		edge.WriteErr(w, http.StatusServiceUnavailable, api.CodeNotReady,
 			fmt.Errorf("%w: release %s is %s", release.ErrNotReady, id, meta.Status),
 			map[string]any{"status": string(meta.Status)})
 		return nil, false
 	case release.StatusFailed:
-		writeErr(w, http.StatusConflict, api.CodeBuildFailed,
+		edge.WriteErr(w, http.StatusConflict, api.CodeBuildFailed,
 			fmt.Errorf("%w: release %s failed: %s", release.ErrNotReady, id, meta.Error), nil)
 		return nil, false
 	}
 	snap, err := s.store.Snapshot(id)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, api.CodeInternal, err, nil)
+		edge.WriteErr(w, http.StatusInternalServerError, api.CodeInternal, err, nil)
 		return nil, false
 	}
 	return snap, true
@@ -459,14 +352,14 @@ func executeErr(w http.ResponseWriter, err error) {
 	var qe *engine.QueryError
 	switch {
 	case errors.As(err, &qe):
-		writeErr(w, http.StatusBadRequest, api.CodeInvalidQuery, err, map[string]any{"query": qe.Index})
+		edge.WriteErr(w, http.StatusBadRequest, api.CodeInvalidQuery, err, map[string]any{"query": qe.Index})
 	case errors.Is(err, engine.ErrBatchTooLarge):
-		writeErr(w, http.StatusRequestEntityTooLarge, api.CodeTooLarge, err, nil)
+		edge.WriteErr(w, http.StatusRequestEntityTooLarge, api.CodeTooLarge, err, nil)
 	case errors.Is(err, engine.ErrClosed):
 		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusServiceUnavailable, api.CodeUnavailable, err, nil)
+		edge.WriteErr(w, http.StatusServiceUnavailable, api.CodeUnavailable, err, nil)
 	default:
-		writeErr(w, http.StatusInternalServerError, api.CodeInternal, err, nil)
+		edge.WriteErr(w, http.StatusInternalServerError, api.CodeInternal, err, nil)
 	}
 }
 
@@ -476,7 +369,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// structural checks on the request precede checks on the target.
 	var req api.Query
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxQueryBody)).Decode(&req); err != nil {
-		writeErr(w, decodeStatus(err), decodeCode(err), fmt.Errorf("decoding request: %w", err), nil)
+		edge.WriteBodyErr(w, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	tr := obs.TraceFrom(r.Context())
@@ -486,12 +379,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	res, err := s.engine.ExecuteCtx(r.Context(), id, snap, []query.Query{toQuery(req)})
+	res, err := s.engine.Execute(r.Context(), id, snap, []query.Query{toQuery(req)})
 	if err != nil {
 		executeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.QueryResponse{
+	edge.WriteJSON(w, http.StatusOK, api.QueryResponse{
 		ReleaseID: id, Estimate: res[0].Estimate, Cached: res[0].Cached,
 		Groups:    toGroups(res[0].Groups),
 		RequestID: w.Header().Get(obs.HeaderRequestID),
@@ -499,23 +392,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
-	var req api.BatchQueryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBatchBody)).Decode(&req); err != nil {
-		writeErr(w, decodeStatus(err), decodeCode(err), fmt.Errorf("decoding request: %w", err), nil)
-		return
-	}
-	if req.ReleaseID == "" {
-		writeErr(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Errorf("release_id is required"), nil)
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeErr(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Errorf("queries is empty"), nil)
+	req, ok := edge.DecodeBatch(w, r, s.maxBatchBody)
+	if !ok {
 		return
 	}
 	// Reject oversized batches before resolving the release: the cap is
 	// structural, not a property of the target.
 	if limit := s.engine.MaxBatch(); len(req.Queries) > limit {
-		writeErr(w, http.StatusRequestEntityTooLarge, api.CodeTooLarge,
+		edge.WriteErr(w, http.StatusRequestEntityTooLarge, api.CodeTooLarge,
 			fmt.Errorf("%w: %d queries > limit %d", engine.ErrBatchTooLarge, len(req.Queries), limit),
 			map[string]any{"limit": limit})
 		return
@@ -531,7 +415,7 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	for i, qr := range req.Queries {
 		qs[i] = toQuery(qr)
 	}
-	res, err := s.engine.ExecuteCtx(r.Context(), req.ReleaseID, snap, qs)
+	res, err := s.engine.Execute(r.Context(), req.ReleaseID, snap, qs)
 	if err != nil {
 		executeErr(w, err)
 		return
@@ -547,7 +431,7 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 			out.CacheHits++
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	edge.WriteJSON(w, http.StatusOK, out)
 }
 
 // anonCode maps an anon registry/params error to its wire code.
@@ -559,52 +443,4 @@ func anonCode(err error) string {
 		return api.CodeInvalidParams
 	}
 	return api.CodeInvalidRequest
-}
-
-// decodeStatus maps a body-decoding failure to its status code: 413 when
-// the body tripped MaxBytesReader, 400 otherwise.
-func decodeStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
-// decodeCode is decodeStatus's error-code twin.
-func decodeCode(err error) string {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return api.CodeTooLarge
-	}
-	return api.CodeInvalidRequest
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-// writeErr emits the structured error envelope every route shares. The
-// request ID the instrument middleware staged as a response header is
-// mirrored into details so error reports are grep-able against server
-// logs without the caller having captured the header. When the writer is
-// the instrument middleware's recorder, the error code is captured on it
-// so the retained trace carries the failure class.
-func writeErr(w http.ResponseWriter, status int, code string, err error, details map[string]any) {
-	if rec, ok := w.(interface{ setErrorCode(string) }); ok {
-		rec.setErrorCode(code)
-	}
-	if id := w.Header().Get(obs.HeaderRequestID); id != "" {
-		if details == nil {
-			details = make(map[string]any, 1)
-		}
-		if _, ok := details["request_id"]; !ok {
-			details["request_id"] = id
-		}
-	}
-	writeJSON(w, status, api.Envelope{Error: api.Error{Code: code, Message: err.Error(), Details: details}})
 }

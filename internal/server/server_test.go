@@ -9,6 +9,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -175,8 +178,52 @@ func TestEndToEnd(t *testing.T) {
 	}
 }
 
+// exposedFamilies maps every # TYPE family of a text exposition to its
+// type and the sorted label names its samples carry ("le" excluded), as
+// "type(label,label)".
+func exposedFamilies(body string) map[string]string {
+	types := make(map[string]string)
+	labels := make(map[string]map[string]bool)
+	labelName := regexp.MustCompile(`([a-zA-Z_][a-zA-Z0-9_]*)="`)
+	for _, line := range strings.Split(body, "\n") {
+		if decl, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(decl, " ")
+			types[name], labels[name] = typ, make(map[string]bool)
+			continue
+		}
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		end := strings.IndexAny(line, "{ ")
+		family := line[:end]
+		if _, ok := types[family]; !ok {
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				family = strings.TrimSuffix(family, suffix)
+			}
+		}
+		if set, ok := labels[family]; ok && line[end] == '{' {
+			for _, m := range labelName.FindAllStringSubmatch(line[:strings.IndexByte(line, '}')], -1) {
+				if m[1] != "le" {
+					set[m[1]] = true
+				}
+			}
+		}
+	}
+	out := make(map[string]string, len(types))
+	for name, typ := range types {
+		names := make([]string, 0, len(labels[name]))
+		for l := range labels[name] {
+			names = append(names, l)
+		}
+		sort.Strings(names)
+		out[name] = typ + "(" + strings.Join(names, ",") + ")"
+	}
+	return out
+}
+
 func TestHealthzAndMetrics(t *testing.T) {
-	e := newEnv(t)
+	store, ts := clusterNode(t, "n1", "")
+	e := &testEnv{ts: ts, store: store}
 	resp, data := e.get(t, "/healthz")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(data), `"ok"`) {
 		t.Fatalf("healthz: %d: %s", resp.StatusCode, data)
@@ -198,6 +245,41 @@ func TestHealthzAndMetrics(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, body)
 		}
+	}
+	// The full family set of a memory-only node with an identity: names,
+	// types and label names are the node's scrape contract.
+	got := exposedFamilies(body)
+	want := map[string]string{
+		"repro_http_requests_total":           "counter(code,route)",
+		"repro_http_request_duration_seconds": "histogram(route)",
+		"repro_http_inflight_requests":        "gauge()",
+		"repro_stage_duration_seconds":        "histogram(stage)",
+		"repro_releases":                      "gauge()",
+		"repro_evaluations":                   "gauge()",
+		"repro_engine_cache_hits_total":       "counter()",
+		"repro_engine_cache_misses_total":     "counter()",
+		"repro_engine_batches_total":          "counter()",
+		"repro_engine_batch_queries_total":    "counter()",
+		"repro_engine_batch_size_max":         "gauge()",
+		"repro_engine_cache_entries":          "gauge()",
+		"repro_node_info":                     "gauge(node)",
+		"repro_store_durable":                 "gauge()",
+		"repro_tracestore_capacity":           "gauge()",
+		"repro_tracestore_retained":           "gauge()",
+		"repro_tracestore_kept_total":         "counter(reason)",
+		"repro_tracestore_sampled_out_total":  "counter()",
+		"repro_tracestore_evicted_total":      "counter()",
+		"repro_go_goroutines":                 "gauge()",
+		"repro_go_heap_alloc_bytes":           "gauge()",
+		"repro_go_heap_objects":               "gauge()",
+		"repro_go_sys_bytes":                  "gauge()",
+		"repro_go_next_gc_bytes":              "gauge()",
+		"repro_go_gc_cycles_total":            "counter()",
+		"repro_go_gc_pause_seconds_total":     "counter()",
+		"repro_uptime_seconds":                "gauge()",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("metric families:\ngot  %v\nwant %v", got, want)
 	}
 }
 
