@@ -19,8 +19,8 @@ import (
 )
 
 // benchConfig scales the experiment benchmarks: paper trends at a size that
-// keeps one iteration around a second. Use cmd/experiments -full for the
-// paper-scale run.
+// keeps one iteration around a second. experiments.Paper() is the
+// paper-scale configuration.
 func benchConfig() experiments.Config {
 	c := experiments.Quick()
 	c.N = 20000

@@ -1,11 +1,11 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
+
+	"repro/internal/durable"
 )
 
 // Snapshot-replication wire envelope (version 1): the body of
@@ -14,28 +14,31 @@ import (
 // snapshot bytes with the identity the receiving store must install them
 // under, so replication is a verbatim byte copy — the gateway relays the
 // envelope it fetched without re-encoding, and every replica decodes the
-// exact bytes the owner persisted.
+// exact bytes the owner persisted. It is a durable.Frame with magic
+// "RPROREPL" and two sections:
 //
-//	offset 0   magic "RPROREPL" (8 bytes)
-//	offset 8   envelope version, uint32 big-endian
-//	           two sections, each uint32 big-endian length + bytes:
-//	             1. header JSON {id, node}
-//	             2. snapshot bytes (opaque here; RPROSNAP with its own
-//	                checksum, validated by release.DecodeSnapshot at the
-//	                receiver)
-//	trailer    CRC-32 (IEEE) of every preceding byte, uint32 big-endian
+//	section 1  header JSON {id, node}
+//	section 2  snapshot bytes (opaque here; RPROSNAP with its own
+//	           checksum, validated by release.DecodeSnapshot at the
+//	           receiver)
 //
 // Like the snapshot format, the encoding is byte-deterministic for given
 // inputs; a golden test pins it and any change is a conscious version
 // bump.
-const (
-	envelopeMagic = "RPROREPL"
-	// EnvelopeVersion is the current replication envelope version.
-	EnvelopeVersion = 1
-	// maxEnvelopeSection caps one section's declared length so a corrupt
-	// header cannot make the decoder attempt a multi-GB allocation.
-	maxEnvelopeSection = 1 << 31
-)
+var envelopeFrame = durable.Frame{
+	Magic:      "RPROREPL",
+	MaxSection: 1 << 31,
+	Corrupt:    ErrBadEnvelope,
+	Sections: func(v uint32) (int, error) {
+		if v != EnvelopeVersion {
+			return 0, fmt.Errorf("%w: %d (this build reads %d)", ErrEnvelopeVersion, v, EnvelopeVersion)
+		}
+		return 2, nil
+	},
+}
+
+// EnvelopeVersion is the current replication envelope version.
+const EnvelopeVersion = 1
 
 // Typed envelope errors, mirroring the snapshot codec's.
 var (
@@ -70,17 +73,10 @@ func EncodeEnvelope(id, node string, snapshot []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(snapshot)) >= maxEnvelopeSection {
-		return nil, fmt.Errorf("cluster: snapshot of %d bytes is beyond the envelope's %d limit", len(snapshot), int64(maxEnvelopeSection))
+	out, err := envelopeFrame.Encode(EnvelopeVersion, header, snapshot)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: encoding envelope: %w", err)
 	}
-	out := make([]byte, 0, len(envelopeMagic)+4+2*4+len(header)+len(snapshot)+4)
-	out = append(out, envelopeMagic...)
-	out = binary.BigEndian.AppendUint32(out, EnvelopeVersion)
-	for _, section := range [][]byte{header, snapshot} {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(section)))
-		out = append(out, section...)
-	}
-	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 	return out, nil
 }
 
@@ -89,34 +85,9 @@ func EncodeEnvelope(id, node string, snapshot []byte) ([]byte, error) {
 // (not copied; they alias data). Malformed input errors with
 // ErrBadEnvelope (or ErrEnvelopeVersion) and never panics.
 func DecodeEnvelope(data []byte) (id, node string, snapshot []byte, err error) {
-	if len(data) < len(envelopeMagic)+4+4 {
-		return "", "", nil, badEnvelope("%d bytes is shorter than the fixed header and checksum trailer", len(data))
-	}
-	if string(data[:len(envelopeMagic)]) != envelopeMagic {
-		return "", "", nil, badEnvelope("bad magic %q", data[:len(envelopeMagic)])
-	}
-	if v := binary.BigEndian.Uint32(data[len(envelopeMagic):]); v != EnvelopeVersion {
-		return "", "", nil, fmt.Errorf("%w: %d (this build reads %d)", ErrEnvelopeVersion, v, EnvelopeVersion)
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.BigEndian.Uint32(trailer); got != want {
-		return "", "", nil, badEnvelope("checksum mismatch: computed %08x, recorded %08x", got, want)
-	}
-	rest := body[len(envelopeMagic)+4:]
-	sections := make([][]byte, 2)
-	for i := range sections {
-		if len(rest) < 4 {
-			return "", "", nil, badEnvelope("truncated before section %d length", i+1)
-		}
-		n := binary.BigEndian.Uint32(rest)
-		rest = rest[4:]
-		if n >= maxEnvelopeSection || int64(n) > int64(len(rest)) {
-			return "", "", nil, badEnvelope("section %d claims %d bytes, %d remain", i+1, n, len(rest))
-		}
-		sections[i], rest = rest[:n], rest[n:]
-	}
-	if len(rest) != 0 {
-		return "", "", nil, badEnvelope("%d trailing bytes after the last section", len(rest))
+	_, sections, err := envelopeFrame.Decode(data)
+	if err != nil {
+		return "", "", nil, err
 	}
 	var header envHeader
 	if err := json.Unmarshal(sections[0], &header); err != nil {

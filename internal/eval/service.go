@@ -1,19 +1,17 @@
 package eval
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/microdata"
 	"repro/internal/obs"
 	"repro/internal/release"
@@ -90,7 +88,7 @@ type Service struct {
 	byID   map[string]*job
 	closed bool
 
-	man       *evalManifest // nil when the store is memory-only
+	man       *durable.Log // nil when the store is memory-only
 	dir       string
 	recovered RecoveryStats
 
@@ -142,7 +140,7 @@ func NewService(store *release.Store, workers int) (*Service, error) {
 		stages: obs.NewLabeledHistograms(),
 	}
 	if store.Durable() {
-		man, records, skipped, err := openEvalManifest(s.dir)
+		man, records, skipped, err := durable.OpenLog[evalManifestRecord](filepath.Join(s.dir, EvalLogName))
 		if err != nil {
 			cancel()
 			return nil, err
@@ -152,8 +150,10 @@ func NewService(store *release.Store, workers int) (*Service, error) {
 		if skipped > 0 {
 			slog.Warn("skipped malformed eval-log lines", "component", "eval", "dir", s.dir, "skipped", skipped)
 		}
-		s.replay(records)
-		s.sweepOrphans()
+		// Sidecars no done record names (a crash between rename and log
+		// append, or mid-write) are swept; referenced but corrupt ones
+		// stay for forensics, like corrupt snapshots.
+		durable.Sweep(s.dir, ".eval", s.replay(records))
 	}
 	s.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -184,7 +184,7 @@ func (s *Service) Close() {
 	s.cancel()
 	s.wg.Wait()
 	if s.man != nil {
-		if err := s.man.close(); err != nil {
+		if err := s.man.Close(); err != nil {
 			slog.Error("closing eval log", "component", "eval", "err", err)
 		}
 	}
@@ -216,7 +216,17 @@ func (s *Service) Submit(ctx context.Context, id string, tab *microdata.Table, p
 		return Meta{}, err
 	}
 
-	jctx, done := context.WithCancel(mergeCtx(s.root, ctx))
+	// The job context dies with the submitter's ctx OR the service: the
+	// AfterFunc relays root cancellation into it.
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	jctx, cancel := context.WithCancel(ctx)
+	stop := context.AfterFunc(s.root, cancel)
+	done := func() {
+		stop()
+		cancel()
+	}
 	rec := &job{
 		meta: Meta{
 			ReleaseID:   id,
@@ -339,10 +349,10 @@ func (s *Service) runJob(rec *job) {
 // a sibling of its <id>.snap snapshot.
 func sidecarFileName(id string) string { return id + ".eval" }
 
-// persistVerdict writes the sidecar atomically (tmp + fsync + rename +
-// dir sync) and then logs the done record; only after both may the
-// in-memory status flip to done — on a durable store, done means on
-// disk, exactly like the release store's ready.
+// persistVerdict installs the sidecar atomically (durable.WriteFile) and
+// then logs the done record; only after both may the in-memory status
+// flip to done — on a durable store, done means on disk, exactly like
+// the release store's ready.
 func (s *Service) persistVerdict(meta Meta, v *Verdict) error {
 	data, err := EncodeSidecar(SidecarMeta{
 		ReleaseID:   meta.ReleaseID,
@@ -357,31 +367,24 @@ func (s *Service) persistVerdict(meta Meta, v *Verdict) error {
 	writeStart := time.Now()
 	defer func() { s.stages.Observe("eval.sidecar_write", time.Since(writeStart)) }()
 	name := sidecarFileName(meta.ReleaseID)
-	final := filepath.Join(s.dir, name)
-	tmp := final + ".tmp"
-	if err := writeFileSync(tmp, data); err != nil {
+	if err := durable.WriteFile(s.dir, name, data); err != nil {
 		return fmt.Errorf("eval: writing sidecar: %w", err)
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("eval: installing sidecar: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
-		return fmt.Errorf("eval: syncing data dir: %w", err)
-	}
-	if err := s.man.append(evalManifestRecord{Event: evalEventDone, ID: meta.ReleaseID, File: name}); err != nil {
+	if err := s.man.Append(&evalManifestRecord{Entry: durable.Entry{Event: evalEventDone, ID: meta.ReleaseID}, File: name}); err != nil {
 		// Without its done record the sidecar is unreachable by recovery;
 		// reclaim it rather than leaving an orphan.
-		os.Remove(final)
+		os.Remove(filepath.Join(s.dir, name))
 		return fmt.Errorf("eval: logging verdict: %w", err)
 	}
 	return nil
 }
 
-// replay folds the eval log into the catalog. Runs before the service is
-// shared, so it writes state without locking.
-func (s *Service) replay(records []evalManifestRecord) {
-	type state struct{ submitted, last *evalManifestRecord }
+// replay folds the eval log into the catalog and returns the sidecars
+// still named: for each release the store still holds, the file of its
+// last done record. Runs before the service is shared, so it writes
+// state without locking.
+func (s *Service) replay(records []evalManifestRecord) map[string]bool {
+	type state struct{ submitted, done, last *evalManifestRecord }
 	byID := make(map[string]*state)
 	var order []string
 	for i := range records {
@@ -392,17 +395,24 @@ func (s *Service) replay(records []evalManifestRecord) {
 			byID[rec.ID] = st
 			order = append(order, rec.ID)
 		}
-		if rec.Event == evalEventSubmitted {
+		switch rec.Event {
+		case evalEventSubmitted:
 			st.submitted = rec
+		case evalEventDone:
+			st.done = rec
 		}
 		st.last = rec
 	}
+	keep := make(map[string]bool)
 	for _, id := range order {
 		st := byID[id]
 		if _, ok := s.store.Get(id); !ok {
 			// The release itself is gone from the store's catalog; an
 			// evaluation of nothing serves nobody.
 			continue
+		}
+		if st.done != nil {
+			keep[st.done.File] = true
 		}
 		meta := Meta{ReleaseID: id, Status: StatusFailed}
 		if st.submitted != nil {
@@ -426,6 +436,7 @@ func (s *Service) replay(records []evalManifestRecord) {
 		}
 		s.byID[id] = &job{meta: meta}
 	}
+	return keep
 }
 
 // recoverDone loads one done record's sidecar; decode failures demote the
@@ -440,12 +451,7 @@ func (s *Service) recoverDone(rec *evalManifestRecord, meta Meta) {
 		s.recovered.Corrupt++
 		slog.Warn("skipping unrecoverable evaluation", "component", "eval", "dir", s.dir, "release_id", meta.ReleaseID, "err", err)
 	}
-	name := rec.File
-	if name == "" || name != filepath.Base(name) {
-		fail(fmt.Errorf("eval log names invalid sidecar file %q", name))
-		return
-	}
-	data, err := os.ReadFile(filepath.Join(s.dir, name))
+	data, err := durable.ReadFile(s.dir, rec.File)
 	if err != nil {
 		fail(err)
 		return
@@ -472,117 +478,29 @@ func (s *Service) recoverDone(rec *evalManifestRecord, meta Meta) {
 	s.recovered.Done++
 }
 
-// sweepOrphans removes sidecar and temp files that no recovered done
-// evaluation references: a crash between rename and log append (or
-// mid-write) leaves files recovery can never surface. Referenced-but-
-// corrupt sidecars are kept for forensics, like corrupt snapshots.
-func (s *Service) sweepOrphans() {
-	live := make(map[string]bool, len(s.byID))
-	for id, rec := range s.byID {
-		if rec.meta.Status == StatusDone {
-			live[sidecarFileName(id)] = true
-		}
-	}
-	corrupt := make(map[string]bool)
-	for id, rec := range s.byID {
-		if rec.meta.Status == StatusFailed && strings.HasPrefix(rec.meta.Error, "verdict sidecar unrecoverable") {
-			corrupt[sidecarFileName(id)] = true
-		}
-	}
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		name := e.Name()
-		isTmp := strings.HasSuffix(name, ".eval.tmp")
-		isEval := strings.HasSuffix(name, ".eval")
-		if e.IsDir() || (!isEval && !isTmp) || live[name] || corrupt[name] {
-			continue
-		}
-		if err := os.Remove(filepath.Join(s.dir, name)); err == nil {
-			slog.Info("removed orphan sidecar file", "component", "eval", "dir", s.dir, "file", name)
-		}
-	}
-}
-
 func (s *Service) appendSubmitted(meta Meta) error {
 	params, err := json.Marshal(meta.Params)
 	if err != nil {
 		return err
 	}
-	return s.man.append(evalManifestRecord{Event: evalEventSubmitted, ID: meta.ReleaseID, Params: params})
+	return s.man.Append(&evalManifestRecord{Entry: durable.Entry{Event: evalEventSubmitted, ID: meta.ReleaseID}, Params: params})
 }
 
 // appendTerminal best-effort records a failure; the in-memory state is
 // authoritative for the current process either way.
 func (s *Service) appendTerminal(meta Meta) {
-	if err := s.man.append(evalManifestRecord{Event: evalEventFailed, ID: meta.ReleaseID, Error: meta.Error}); err != nil && !errors.Is(err, errEvalManifestClosed) {
+	if err := s.man.Append(&evalManifestRecord{Entry: durable.Entry{Event: evalEventFailed, ID: meta.ReleaseID}, Error: meta.Error}); err != nil && !errors.Is(err, durable.ErrClosed) {
 		slog.Error("recording terminal eval event", "component", "eval", "release_id", meta.ReleaseID, "err", err)
 	}
-}
-
-// mergeCtx derives a context cancelled when either parent is. The
-// service root is the primary parent so Close aborts every job; the
-// submitter's cancellation (if any) is propagated by a watcher.
-func mergeCtx(root, caller context.Context) context.Context {
-	if caller == nil || caller == context.Background() || caller.Done() == nil {
-		return root
-	}
-	ctx, cancel := context.WithCancel(root)
-	go func() {
-		select {
-		case <-caller.Done():
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	return ctx
-}
-
-// writeFileSync writes data to path and fsyncs it before returning.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(path)
-		return err
-	}
-	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file's entry is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // --- eval log ---------------------------------------------------------
 
 // EvalLogName is the append-only evaluation-lifecycle log inside a
-// durable store's data directory, a sibling of the release manifest.
-// Same discipline: every line is one JSON record, every append is
-// fsynced before the matching in-memory transition becomes visible, and
-// a torn final line is truncated away on open.
+// durable store's data directory, a sibling of the release manifest and
+// kept the same way (durable.Log): every line is one JSON record, every
+// append is fsynced before the matching in-memory transition becomes
+// visible, and a torn final line is truncated away on open.
 const EvalLogName = "eval.log"
 
 // Eval log lifecycle events.
@@ -592,118 +510,11 @@ const (
 	evalEventFailed    = "failed"
 )
 
-var errEvalManifestClosed = errors.New("eval: log is closed")
-
 // evalManifestRecord is one line of the eval log. Params accompanies
 // submitted events; File accompanies done events; Error failed ones.
 type evalManifestRecord struct {
-	Seq    uint64          `json:"seq"`
-	Time   time.Time       `json:"time"`
-	Event  string          `json:"event"`
-	ID     string          `json:"id"`
+	durable.Entry
 	Params json.RawMessage `json:"params,omitempty"`
 	File   string          `json:"file,omitempty"`
 	Error  string          `json:"error,omitempty"`
-}
-
-// evalManifest is the append side of the log, mirroring the release
-// manifest: appends serialized by its own mutex, fsynced, and rolled
-// back to the last durable boundary on failure.
-type evalManifest struct {
-	mu     sync.Mutex
-	f      *os.File
-	off    int64
-	seq    uint64
-	closed bool
-}
-
-func openEvalManifest(dir string) (*evalManifest, []evalManifestRecord, int, error) {
-	path := filepath.Join(dir, EvalLogName)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	fail := func(err error) (*evalManifest, []evalManifestRecord, int, error) {
-		f.Close()
-		return nil, nil, 0, err
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return fail(fmt.Errorf("eval: reading log: %w", err))
-	}
-	var records []evalManifestRecord
-	skipped := 0
-	maxSeq := uint64(0)
-	valid := int64(0)
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			skipped++ // torn tail; truncated below
-			break
-		}
-		line := data[:nl]
-		data = data[nl+1:]
-		valid += int64(nl) + 1
-		if len(line) == 0 {
-			continue
-		}
-		var rec evalManifestRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Event == "" || rec.ID == "" {
-			skipped++
-			continue
-		}
-		if rec.Seq > maxSeq {
-			maxSeq = rec.Seq
-		}
-		records = append(records, rec)
-	}
-	if err := f.Truncate(valid); err != nil {
-		return fail(fmt.Errorf("eval: truncating torn log tail: %w", err))
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		return fail(err)
-	}
-	return &evalManifest{f: f, off: valid, seq: maxSeq}, records, skipped, nil
-}
-
-func (m *evalManifest) append(rec evalManifestRecord) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return errEvalManifestClosed
-	}
-	m.seq++
-	rec.Seq = m.seq
-	rec.Time = time.Now().UTC()
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-	if _, err := m.f.Write(line); err != nil {
-		_ = m.f.Truncate(m.off)
-		_, _ = m.f.Seek(m.off, io.SeekStart)
-		return fmt.Errorf("eval: appending log: %w", err)
-	}
-	if err := m.f.Sync(); err != nil {
-		_ = m.f.Truncate(m.off)
-		_, _ = m.f.Seek(m.off, io.SeekStart)
-		return fmt.Errorf("eval: syncing log: %w", err)
-	}
-	m.off += int64(len(line))
-	return nil
-}
-
-func (m *evalManifest) close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return nil
-	}
-	m.closed = true
-	err := m.f.Sync()
-	if cerr := m.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

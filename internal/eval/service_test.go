@@ -1,7 +1,9 @@
 package eval
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -162,6 +164,113 @@ func TestServiceSweepsOrphanSidecars(t *testing.T) {
 	}
 	if _, ok := svc.Get(id); ok {
 		t.Error("orphan sidecar resurrected an evaluation")
+	}
+}
+
+// TestServiceRecoversFrozenDataDir pins the on-disk formats across code
+// changes: testdata/datadir holds a manifest.log, eval.log, snapshot and
+// sidecar written by an earlier build. They must recover as written — one
+// ready release, one done evaluation, no skipped lines — and new appends
+// to both logs must land after the recorded bytes, each on a line of its
+// own.
+func TestServiceRecoversFrozenDataDir(t *testing.T) {
+	src := filepath.Join("testdata", "datadir")
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	store, err := release.Open(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if rec := store.Recovery(); rec.Ready != 1 || rec.SkippedLines != 0 {
+		t.Fatalf("release recovery stats: %+v", rec)
+	}
+	svc, err := NewService(store, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if rec := svc.Recovery(); rec.Done != 1 || rec.SkippedLines != 0 {
+		t.Fatalf("eval recovery stats: %+v", rec)
+	}
+	if m, ok := svc.Get("r-000001"); !ok || m.Status != StatusDone || m.Verdict == nil {
+		t.Fatalf("frozen evaluation recovered as %+v", m)
+	}
+
+	id, tab := buildRelease(t, store)
+	if _, err := svc.Submit(context.Background(), id, tab, Params{Queries: 20}); err != nil {
+		t.Fatal(err)
+	}
+	if m := waitTerminal(t, svc, id); m.Status != StatusDone {
+		t.Fatalf("new evaluation ended %s: %s", m.Status, m.Error)
+	}
+	svc.Close()
+	store.Close()
+	for _, name := range []string{release.ManifestName, EvalLogName} {
+		before, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(after, before) {
+			t.Fatalf("%s: recorded lines rewritten", name)
+		}
+		added := strings.Split(strings.TrimSuffix(string(after[len(before):]), "\n"), "\n")
+		if len(added) != 2 {
+			t.Fatalf("%s: %d lines appended, want submitted + terminal", name, len(added))
+		}
+		for _, line := range added {
+			if !json.Valid([]byte(line)) {
+				t.Fatalf("%s: appended line %q is not one JSON record", name, line)
+			}
+		}
+	}
+}
+
+// TestSubmitterCancelFailsQueuedEvaluation: a job's context derives from
+// the submitter's ctx, so cancelling it fails an evaluation still queued
+// behind another with context.Canceled, while the job ahead of it, under
+// its own context, finishes.
+func TestSubmitterCancelFailsQueuedEvaluation(t *testing.T) {
+	store := release.NewStore(1)
+	defer store.Close()
+	busyID, busyTab := buildRelease(t, store)
+	id, tab := buildRelease(t, store)
+
+	svc, err := NewService(store, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if _, err := svc.Submit(context.Background(), busyID, busyTab, Params{Queries: 400}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	if _, err := svc.Submit(ctx, id, tab, Params{Queries: 20}); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if m := waitTerminal(t, svc, id); m.Status != StatusFailed || !strings.Contains(m.Error, context.Canceled.Error()) {
+		t.Fatalf("cancelled evaluation ended %s (%q), want failed with %v", m.Status, m.Error, context.Canceled)
+	}
+	if m := waitTerminal(t, svc, busyID); m.Status != StatusDone {
+		t.Fatalf("uncancelled evaluation ended %s: %s", m.Status, m.Error)
 	}
 }
 

@@ -1,24 +1,21 @@
 package eval
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // Sidecar wire format (version 1). A sidecar file is the durable form of
 // one finished evaluation, written next to the release's RPROSNAP
-// snapshot as <release-id>.eval:
+// snapshot as <release-id>.eval. It is a durable.Frame with magic
+// "RPROEVAL" and two sections:
 //
-//	offset 0   magic "RPROEVAL" (8 bytes)
-//	offset 8   format version, uint32 big-endian
-//	           two sections, each uint32 big-endian length + bytes:
-//	             1. meta JSON    (job identity, times, params)
-//	             2. verdict JSON (the api.EvalVerdict)
-//	trailer    CRC-32 (IEEE) of every preceding byte, uint32 big-endian
+//	section 1  meta JSON    (job identity, times, params)
+//	section 2  verdict JSON (the api.EvalVerdict)
 //
 // The verdict section's bytes are deterministic for given release
 // content and params (fixed struct shapes, no timestamps); the meta
@@ -30,9 +27,6 @@ const (
 	sidecarMagic = "RPROEVAL"
 	// SidecarFormatVersion is the current wire format version.
 	SidecarFormatVersion = 1
-	// maxSidecarSection caps one section's declared length so a corrupt
-	// header cannot make the decoder attempt a huge allocation.
-	maxSidecarSection = 1 << 28
 )
 
 // ErrCorruptSidecar reports input that is not a well-formed sidecar of
@@ -48,6 +42,18 @@ type SidecarMeta struct {
 	FinishedAt  time.Time `json:"finished_at"`
 	EvalMillis  int64     `json:"eval_ms"`
 	Params      Params    `json:"params"`
+}
+
+var sidecarFrame = durable.Frame{
+	Magic:      sidecarMagic,
+	MaxSection: 1 << 28,
+	Corrupt:    ErrCorruptSidecar,
+	Sections: func(v uint32) (int, error) {
+		if v != SidecarFormatVersion {
+			return 0, corruptSidecar("format version %d (this build reads %d)", v, SidecarFormatVersion)
+		}
+		return 2, nil
+	},
 }
 
 func corruptSidecar(format string, args ...any) error {
@@ -68,18 +74,10 @@ func EncodeSidecar(meta SidecarMeta, v *Verdict) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(sidecarMagic) + 4 + 2*4 + len(metaJSON) + len(verdictJSON) + 4
-	out := make([]byte, 0, n)
-	out = append(out, sidecarMagic...)
-	out = binary.BigEndian.AppendUint32(out, SidecarFormatVersion)
-	for i, section := range [][]byte{metaJSON, verdictJSON} {
-		if int64(len(section)) >= maxSidecarSection {
-			return nil, fmt.Errorf("eval: sidecar section %d is %d bytes, beyond the format's %d limit", i+1, len(section), int64(maxSidecarSection))
-		}
-		out = binary.BigEndian.AppendUint32(out, uint32(len(section)))
-		out = append(out, section...)
+	out, err := sidecarFrame.Encode(SidecarFormatVersion, metaJSON, verdictJSON)
+	if err != nil {
+		return nil, fmt.Errorf("eval: encoding sidecar: %w", err)
 	}
-	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 	return out, nil
 }
 
@@ -87,34 +85,9 @@ func EncodeSidecar(meta SidecarMeta, v *Verdict) ([]byte, error) {
 // shape yields an error wrapping ErrCorruptSidecar; it never panics.
 func DecodeSidecar(data []byte) (SidecarMeta, *Verdict, error) {
 	var meta SidecarMeta
-	if len(data) < len(sidecarMagic)+4+4 {
-		return meta, nil, corruptSidecar("%d bytes is shorter than the fixed header and checksum trailer", len(data))
-	}
-	if string(data[:len(sidecarMagic)]) != sidecarMagic {
-		return meta, nil, corruptSidecar("bad magic %q", data[:len(sidecarMagic)])
-	}
-	if v := binary.BigEndian.Uint32(data[len(sidecarMagic):]); v != SidecarFormatVersion {
-		return meta, nil, corruptSidecar("format version %d (this build reads %d)", v, SidecarFormatVersion)
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.BigEndian.Uint32(trailer); got != want {
-		return meta, nil, corruptSidecar("checksum mismatch: computed %08x, recorded %08x", got, want)
-	}
-	rest := body[len(sidecarMagic)+4:]
-	sections := make([][]byte, 2)
-	for i := range sections {
-		if len(rest) < 4 {
-			return meta, nil, corruptSidecar("truncated before section %d length", i+1)
-		}
-		n := binary.BigEndian.Uint32(rest)
-		rest = rest[4:]
-		if n >= maxSidecarSection || int64(n) > int64(len(rest)) {
-			return meta, nil, corruptSidecar("section %d claims %d bytes, %d remain", i+1, n, len(rest))
-		}
-		sections[i], rest = rest[:n], rest[n:]
-	}
-	if len(rest) != 0 {
-		return meta, nil, corruptSidecar("%d trailing bytes after the last section", len(rest))
+	_, sections, err := sidecarFrame.Decode(data)
+	if err != nil {
+		return meta, nil, err
 	}
 	if err := json.Unmarshal(sections[0], &meta); err != nil {
 		return SidecarMeta{}, nil, corruptSidecar("meta: %v", err)

@@ -4,8 +4,8 @@
 // utility studies for generalization (Fig. 8) and perturbation (Fig. 9),
 // the §7 privacy cross-measurement table, and the §7 Naïve Bayes figure.
 //
-// Each experiment takes a Config and returns printable series; cmd/
-// experiments renders them, and the repository-root benchmarks wrap them.
+// Each experiment takes a Config and returns printable series; the
+// repository-root benchmarks (bench_test.go) run them.
 package experiments
 
 import (

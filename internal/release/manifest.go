@@ -1,21 +1,10 @@
 package release
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
-	"sync"
-	"time"
-)
 
-// errManifestClosed reports an append against a retired manifest — the
-// expected outcome when a submission races store shutdown, filtered with
-// errors.Is rather than message matching.
-var errManifestClosed = errors.New("release: manifest is closed")
+	"repro/internal/durable"
+)
 
 // ManifestName is the append-only release-lifecycle log inside a store's
 // data directory. Each line is one JSON manifestRecord; the file is only
@@ -37,10 +26,9 @@ var errManifestClosed = errors.New("release: manifest is closed")
 //	                         release was never visible, so replay drops
 //	                         the ID entirely.
 //
-// A torn final line (crash mid-append) is truncated away on open — it
-// was never acknowledged, and leaving it would glue the next append onto
-// it, destroying a good record. The release it described is governed by
-// the previous state of its ID.
+// A torn final line (crash mid-append) was never acknowledged and is
+// truncated away on open (durable.OpenLog); the release it described is
+// governed by the previous state of its ID.
 const ManifestName = "manifest.log"
 
 // Manifest lifecycle events.
@@ -56,131 +44,11 @@ const (
 // full release metadata, so recovery restores timestamps, EC counts, and
 // build durations exactly); Error accompanies failed events.
 type manifestRecord struct {
-	Seq     uint64          `json:"seq"`
-	Time    time.Time       `json:"time"`
-	Event   string          `json:"event"`
-	ID      string          `json:"id"`
+	durable.Entry
 	Version uint64          `json:"version"`
 	Spec    json.RawMessage `json:"spec,omitempty"`
 	Rows    int             `json:"rows,omitempty"`
 	File    string          `json:"file,omitempty"`
 	Meta    json.RawMessage `json:"meta,omitempty"`
 	Error   string          `json:"error,omitempty"`
-}
-
-// manifest is the append side of the log. Appends are serialized by its
-// own mutex and each one is fsynced before returning: a record that has
-// been appended survives a crash. off tracks the durable end of the file
-// so a failed or short write can be truncated away instead of leaving a
-// partial line the next append would glue onto.
-type manifest struct {
-	mu     sync.Mutex
-	f      *os.File
-	off    int64
-	seq    uint64
-	closed bool
-}
-
-// openManifest opens (creating if needed) the manifest inside dir and
-// returns the replayable records already in it. Newline-terminated lines
-// that fail to parse are skipped and counted; an unterminated final line
-// (a crash mid-append — its record was never acknowledged) is truncated
-// away so subsequent appends start on a clean boundary.
-func openManifest(dir string) (*manifest, []manifestRecord, int, error) {
-	path := filepath.Join(dir, ManifestName)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	fail := func(err error) (*manifest, []manifestRecord, int, error) {
-		f.Close()
-		return nil, nil, 0, err
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return fail(fmt.Errorf("release: reading manifest: %w", err))
-	}
-	var records []manifestRecord
-	skipped := 0
-	maxSeq := uint64(0)
-	valid := int64(0) // byte offset just past the last complete line
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			skipped++ // torn tail; truncated below
-			break
-		}
-		line := data[:nl]
-		data = data[nl+1:]
-		valid += int64(nl) + 1
-		if len(line) == 0 {
-			continue
-		}
-		var rec manifestRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Event == "" || rec.ID == "" {
-			skipped++
-			continue
-		}
-		if rec.Seq > maxSeq {
-			maxSeq = rec.Seq
-		}
-		records = append(records, rec)
-	}
-	if err := f.Truncate(valid); err != nil {
-		return fail(fmt.Errorf("release: truncating torn manifest tail: %w", err))
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		return fail(err)
-	}
-	return &manifest{f: f, off: valid, seq: maxSeq}, records, skipped, nil
-}
-
-// append writes one record and fsyncs it. The caller fills every field
-// but Seq and Time. A failed write is rolled back by truncating to the
-// previous durable offset, so no partial line can corrupt the record
-// that follows it.
-func (m *manifest) append(rec manifestRecord) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return errManifestClosed
-	}
-	m.seq++
-	rec.Seq = m.seq
-	rec.Time = time.Now().UTC()
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-	if _, err := m.f.Write(line); err != nil {
-		// Roll the file back to the last durable boundary; if even that
-		// fails the next open's torn-line handling still contains the
-		// damage to this unacknowledged record.
-		_ = m.f.Truncate(m.off)
-		_, _ = m.f.Seek(m.off, io.SeekStart)
-		return fmt.Errorf("release: appending manifest: %w", err)
-	}
-	if err := m.f.Sync(); err != nil {
-		_ = m.f.Truncate(m.off)
-		_, _ = m.f.Seek(m.off, io.SeekStart)
-		return fmt.Errorf("release: syncing manifest: %w", err)
-	}
-	m.off += int64(len(line))
-	return nil
-}
-
-// close fsyncs and closes the log. Further appends fail.
-func (m *manifest) close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return nil
-	}
-	m.closed = true
-	err := m.f.Sync()
-	if cerr := m.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -9,8 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // RecoveryStats summarizes what Open reconstructed from a data
@@ -59,14 +60,14 @@ func OpenNode(dir string, workers int, node string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	man, records, skipped, err := openManifest(dir)
+	man, records, skipped, err := durable.OpenLog[manifestRecord](filepath.Join(dir, ManifestName))
 	if err != nil {
 		unlock()
 		return nil, err
 	}
 	s, err := NewStoreNode(workers, node)
 	if err != nil {
-		man.close()
+		man.Close()
 		unlock()
 		return nil, err
 	}
@@ -77,44 +78,18 @@ func OpenNode(dir string, workers int, node string) (*Store, error) {
 	if skipped > 0 {
 		slog.Warn("skipped malformed manifest lines", "component", "release", "dir", dir, "skipped", skipped)
 	}
-	s.replay(records)
-	s.sweepOrphans(records)
+	// Snapshots no ready record names (a crash between a snapshot's
+	// rename and its ready append, or mid-write) are swept; referenced
+	// but corrupt ones stay for forensics — their release is addressable
+	// (failed) and names them in its error.
+	durable.Sweep(dir, ".snap", s.replay(records))
 	return s, nil
 }
 
-// sweepOrphans removes snapshot and temp files no manifest ready record
-// references: a crash between a snapshot's rename and its manifest
-// ready append (or mid-write) leaves complete-but-unreachable files
-// that recovery can never serve and would otherwise leak forever.
-// Referenced-but-corrupt files are deliberately kept for forensics —
-// their release is addressable (failed) and names them in its error.
-func (s *Store) sweepOrphans(records []manifestRecord) {
-	live := make(map[string]bool, len(records))
-	for i := range records {
-		if records[i].Event == eventReady && records[i].File != "" {
-			live[records[i].File] = true
-		}
-	}
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		name := e.Name()
-		isTmp := strings.HasSuffix(name, ".snap.tmp")
-		isSnap := strings.HasSuffix(name, ".snap")
-		if e.IsDir() || (!isSnap && !isTmp) || (isSnap && live[name]) {
-			continue
-		}
-		if err := os.Remove(filepath.Join(s.dir, name)); err == nil {
-			slog.Info("removed orphan snapshot file", "component", "release", "dir", s.dir, "file", name)
-		}
-	}
-}
-
-// replay folds the manifest into store records. It runs before the store
-// is shared, so it can write state without the usual locking discipline.
-func (s *Store) replay(records []manifestRecord) {
+// replay folds the manifest into store records and returns the snapshot
+// files its ready records name. It runs before the store is shared, so
+// it can write state without the usual locking discipline.
+func (s *Store) replay(records []manifestRecord) map[string]bool {
 	// Last event per release wins; submitted records are kept alongside so
 	// an interrupted build can be reconstructed with its spec and times.
 	type state struct {
@@ -123,6 +98,7 @@ func (s *Store) replay(records []manifestRecord) {
 	}
 	byID := make(map[string]*state)
 	var order []string
+	live := make(map[string]bool)
 	for i := range records {
 		rec := &records[i]
 		st := byID[rec.ID]
@@ -131,8 +107,11 @@ func (s *Store) replay(records []manifestRecord) {
 			byID[rec.ID] = st
 			order = append(order, rec.ID)
 		}
-		if rec.Event == eventSubmitted {
+		switch rec.Event {
+		case eventSubmitted:
 			st.submitted = rec
+		case eventReady:
+			live[rec.File] = true
 		}
 		st.last = rec
 		if rec.Version > s.version {
@@ -162,6 +141,7 @@ func (s *Store) replay(records []manifestRecord) {
 			slog.Warn("release was mid-build at crash time; re-failed", "component", "release", "dir", s.dir, "release_id", rec.ID)
 		}
 	}
+	return live
 }
 
 // recoverReady loads one ready record's snapshot file; decode failures
@@ -178,12 +158,7 @@ func (s *Store) recoverReady(submitted, rec *manifestRecord) {
 		s.recovered.Corrupt++
 		slog.Warn("skipping unrecoverable release", "component", "release", "dir", s.dir, "release_id", rec.ID, "err", err)
 	}
-	name := rec.File
-	if name == "" || name != filepath.Base(name) {
-		fail(fmt.Errorf("manifest names invalid snapshot file %q", name))
-		return
-	}
-	data, err := os.ReadFile(filepath.Join(s.dir, name))
+	data, err := durable.ReadFile(s.dir, rec.File)
 	if err != nil {
 		fail(err)
 		return
@@ -257,9 +232,7 @@ func (s *Store) installRecovered(meta Meta, snap *Snapshot) {
 func snapshotFileName(id string) string { return id + ".snap" }
 
 // persistSnapshot encodes and atomically installs a release's snapshot
-// file: write to a temporary sibling, fsync, rename into place, fsync
-// the directory. A crash leaves either the previous state or the
-// complete new file, never a torn snapshot under the final name.
+// file (durable.WriteFile).
 func (s *Store) persistSnapshot(id string, snap *Snapshot, spec Spec) (string, error) {
 	encodeStart := time.Now()
 	data, err := EncodeSnapshot(snap, spec)
@@ -270,48 +243,10 @@ func (s *Store) persistSnapshot(id string, snap *Snapshot, spec Spec) (string, e
 	writeStart := time.Now()
 	defer func() { s.stages.Observe("store.snapshot_write", time.Since(writeStart)) }()
 	name := snapshotFileName(id)
-	final := filepath.Join(s.dir, name)
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return "", err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := syncDir(s.dir); err != nil {
+	if err := durable.WriteFile(s.dir, name, data); err != nil {
 		return "", err
 	}
 	return name, nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file's directory entry is
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Durable reports whether the store persists releases to disk.
@@ -350,9 +285,8 @@ func (s *Store) appendSubmitted(meta Meta) error {
 	if err != nil {
 		return err
 	}
-	return s.man.append(manifestRecord{
-		Event:   eventSubmitted,
-		ID:      meta.ID,
+	return s.man.Append(&manifestRecord{
+		Entry:   durable.Entry{Event: eventSubmitted, ID: meta.ID},
 		Version: meta.Version,
 		Spec:    specJSON,
 		Rows:    meta.Rows,
@@ -374,9 +308,8 @@ func (s *Store) finishDurable(meta *Meta, snap *Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("persisting snapshot: %w", err)
 	}
-	if err := s.man.append(manifestRecord{
-		Event:   eventReady,
-		ID:      meta.ID,
+	if err := s.man.Append(&manifestRecord{
+		Entry:   durable.Entry{Event: eventReady, ID: meta.ID},
 		Version: meta.Version,
 		File:    name,
 		Meta:    metaJSON,
@@ -394,12 +327,11 @@ func (s *Store) finishDurable(meta *Meta, snap *Snapshot) error {
 // rejected-before-activation); the in-memory state is authoritative for
 // the current process either way.
 func (s *Store) appendTerminal(event string, meta Meta) {
-	if err := s.man.append(manifestRecord{
-		Event:   event,
-		ID:      meta.ID,
+	if err := s.man.Append(&manifestRecord{
+		Entry:   durable.Entry{Event: event, ID: meta.ID},
 		Version: meta.Version,
 		Error:   meta.Error,
-	}); err != nil && !errors.Is(err, errManifestClosed) {
+	}); err != nil && !errors.Is(err, durable.ErrClosed) {
 		slog.Error("recording terminal event", "component", "release", "event", event, "release_id", meta.ID, "err", err)
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/anon"
 	"repro/internal/census"
+	"repro/internal/durable"
 	"repro/internal/query"
 )
 
@@ -166,8 +167,8 @@ func TestRecoveryCrashMidBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	line, err := json.Marshal(manifestRecord{
-		Seq: 1, Time: time.Now().UTC(), Event: eventSubmitted,
-		ID: "r-000001", Version: 1, Spec: specJSON, Rows: 77,
+		Entry:   durable.Entry{Seq: 1, Time: time.Now().UTC(), Event: eventSubmitted, ID: "r-000001"},
+		Version: 1, Spec: specJSON, Rows: 77,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -247,6 +248,11 @@ func TestRecoveryCorruptSnapshot(t *testing.T) {
 	}
 	if m.Status != StatusFailed || !strings.Contains(m.Error, "snapshot unrecoverable") {
 		t.Fatalf("corrupt release recovered as %s (%q)", m.Status, m.Error)
+	}
+	// The manifest still names the corrupt file: it is kept for
+	// forensics, not swept as an orphan.
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("referenced corrupt snapshot swept: %v", err)
 	}
 	if _, err := s2.Snapshot(victim.ID); err == nil {
 		t.Fatal("corrupt release still served a snapshot")

@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 
 	"repro/anon"
 	"repro/internal/anatomy"
+	"repro/internal/durable"
 	"repro/internal/hierarchy"
 	"repro/internal/likeness"
 	"repro/internal/microdata"
@@ -19,16 +19,13 @@ import (
 // Snapshot wire format (version 3). A snapshot file is the durable form
 // of one ready release: everything the matching estimator needs, and
 // nothing more (the pre-publication Partition of a generalized release is
-// serving-irrelevant and is not persisted).
+// serving-irrelevant and is not persisted). It is a durable.Frame with
+// magic "RPROSNAP" and four sections:
 //
-//	offset 0   magic "RPROSNAP" (8 bytes)
-//	offset 8   format version, uint32 big-endian
-//	           four sections, each uint32 big-endian length + bytes:
-//	             1. header JSON  {kind, method, rows, ail}
-//	             2. spec JSON    (the typed Spec wire form)
-//	             3. payload JSON (schema + small per-kind estimator state)
-//	             4. binary columnar row data (layout below)
-//	trailer    CRC-32 (IEEE) of every preceding byte, uint32 big-endian
+//	section 1  header JSON  {kind, method, rows, ail}
+//	section 2  spec JSON    (the typed Spec wire form)
+//	section 3  payload JSON (schema + small per-kind estimator state)
+//	section 4  binary columnar row data (layout below)
 //
 // Section 4 carries the bulk row data that versions 1 and 2 shipped as
 // JSON arrays inside the payload — the decode hot path of a cold start.
@@ -71,10 +68,24 @@ const (
 	// minSnapshotFormatVersion is the oldest version DecodeSnapshot still
 	// reads.
 	minSnapshotFormatVersion = 1
-	// maxSnapshotSection caps one section's declared length so a corrupt
-	// header cannot make the decoder attempt a multi-GB allocation.
-	maxSnapshotSection = 1 << 31
 )
+
+// snapshotFrame is the snapshot's envelope: versions 1 and 2 carry three
+// all-JSON sections, version 3 adds the binary columnar one.
+var snapshotFrame = durable.Frame{
+	Magic:      snapshotMagic,
+	MaxSection: 1 << 31,
+	Corrupt:    ErrCorruptSnapshot,
+	Sections: func(v uint32) (int, error) {
+		if v < minSnapshotFormatVersion || v > SnapshotFormatVersion {
+			return 0, fmt.Errorf("%w: %d (this build reads %d..%d)", ErrSnapshotVersion, v, minSnapshotFormatVersion, SnapshotFormatVersion)
+		}
+		if v < 3 {
+			return 3, nil
+		}
+		return 4, nil
+	},
+}
 
 // Binary section flags (version ≥3).
 const (
@@ -197,22 +208,12 @@ func EncodeSnapshot(snap *Snapshot, spec Spec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	n := len(snapshotMagic) + 4 + 4*4 + len(header) + len(specJSON) + len(payloadJSON) + len(columns) + 4
-	out := make([]byte, 0, n)
-	out = append(out, snapshotMagic...)
-	out = binary.BigEndian.AppendUint32(out, SnapshotFormatVersion)
-	for i, section := range [][]byte{header, specJSON, payloadJSON, columns} {
-		// Refuse to emit what DecodeSnapshot would refuse to read: a
-		// section past the cap must fail the build loudly, not persist a
-		// file that every restart will demote to corrupt.
-		if int64(len(section)) >= maxSnapshotSection {
-			return nil, fmt.Errorf("release: snapshot section %d is %d bytes, beyond the format's %d limit", i+1, len(section), int64(maxSnapshotSection))
-		}
-		out = binary.BigEndian.AppendUint32(out, uint32(len(section)))
-		out = append(out, section...)
+	// A section past the frame's cap must fail the build loudly, not
+	// persist a file that every restart will demote to corrupt.
+	out, err := snapshotFrame.Encode(SnapshotFormatVersion, header, specJSON, payloadJSON, columns)
+	if err != nil {
+		return nil, fmt.Errorf("release: encoding snapshot: %w", err)
 	}
-	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 	return out, nil
 }
 
@@ -392,46 +393,10 @@ func encodeTuples(t *microdata.Table) *snapTuples {
 // any shape yields an error wrapping ErrCorruptSnapshot (or
 // ErrSnapshotVersion for a future format); it never panics.
 func DecodeSnapshot(data []byte) (*Snapshot, Spec, error) {
-	// Fixed minimum: magic (8) + version (4) + CRC trailer (4). Anything
-	// shorter cannot even be sliced safely, let alone checked.
-	if len(data) < len(snapshotMagic)+4+4 {
-		return nil, Spec{}, corrupt("%d bytes is shorter than the fixed header and checksum trailer", len(data))
+	v, sections, err := snapshotFrame.Decode(data)
+	if err != nil {
+		return nil, Spec{}, err
 	}
-	if string(data[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, Spec{}, corrupt("bad magic %q", data[:len(snapshotMagic)])
-	}
-	v := binary.BigEndian.Uint32(data[len(snapshotMagic):])
-	if v < minSnapshotFormatVersion || v > SnapshotFormatVersion {
-		return nil, Spec{}, fmt.Errorf("%w: %d (this build reads %d..%d)", ErrSnapshotVersion, v, minSnapshotFormatVersion, SnapshotFormatVersion)
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.BigEndian.Uint32(trailer); got != want {
-		return nil, Spec{}, corrupt("checksum mismatch: computed %08x, recorded %08x", got, want)
-	}
-
-	rest := body[len(snapshotMagic)+4:]
-	numSections := 3 // versions 1 and 2: all-JSON
-	if v >= 3 {
-		numSections = 4 // version 3 adds the binary columnar section
-	}
-	sections := make([][]byte, numSections)
-	for i := range sections {
-		if len(rest) < 4 {
-			return nil, Spec{}, corrupt("truncated before section %d length", i+1)
-		}
-		n := binary.BigEndian.Uint32(rest)
-		rest = rest[4:]
-		// Compare in int64: a hostile length near 2^31 must not overflow
-		// int on 32-bit platforms and sneak past the bounds check.
-		if n >= maxSnapshotSection || int64(n) > int64(len(rest)) {
-			return nil, Spec{}, corrupt("section %d claims %d bytes, %d remain", i+1, n, len(rest))
-		}
-		sections[i], rest = rest[:n], rest[n:]
-	}
-	if len(rest) != 0 {
-		return nil, Spec{}, corrupt("%d trailing bytes after the last section", len(rest))
-	}
-
 	var header snapHeader
 	if err := json.Unmarshal(sections[0], &header); err != nil {
 		return nil, Spec{}, corrupt("header: %v", err)

@@ -490,9 +490,9 @@ func TestSnapshotDecodeRejectsInconsistentPayload(t *testing.T) {
 			}
 			return data
 		},
-		"group row out of range":  jsonMangle("anatomy_ldiverse", `"groups":[[`, `"groups":[[99,`),
-		"model variant unknown":   jsonMangle("perturb", `"variant":"enhanced"`, `"variant":"quantum"`),
-		"negative beta":           jsonMangle("perturb", `"beta":2`, `"beta":-2`),
+		"group row out of range":         jsonMangle("anatomy_ldiverse", `"groups":[[`, `"groups":[[99,`),
+		"model variant unknown":          jsonMangle("perturb", `"variant":"enhanced"`, `"variant":"quantum"`),
+		"negative beta":                  jsonMangle("perturb", `"beta":2`, `"beta":-2`),
 		"payload JSON smuggles row data": jsonMangle("burel", `{"schema"`, `{"ecs":[],"schema"`),
 	}
 	for name, mk := range cases {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/microdata"
 	"repro/internal/obs"
 )
@@ -54,7 +55,7 @@ type Store struct {
 	// replays the manifest into the catalog. recovered is written once
 	// during Open and read-only after.
 	dir       string
-	man       *manifest
+	man       *durable.Log
 	unlock    func() // releases the data dir lock; nil on memory stores
 	recovered RecoveryStats
 	// ioWG tracks durable I/O started outside the worker pool (Submit's
@@ -213,7 +214,7 @@ func (s *Store) Close() {
 	s.wg.Wait()
 	s.ioWG.Wait()
 	if s.man != nil {
-		if err := s.man.close(); err != nil {
+		if err := s.man.Close(); err != nil {
 			slog.Error("closing manifest", "component", "release", "dir", s.dir, "err", err)
 		}
 	}
@@ -288,7 +289,7 @@ func (s *Store) Submit(ctx context.Context, t *microdata.Table, spec Spec) (Meta
 			rec.done()
 			// Unreachable while ioWG holds the manifest open, but a
 			// closed-manifest race maps to the store's own sentinel.
-			if errors.Is(err, errManifestClosed) {
+			if errors.Is(err, durable.ErrClosed) {
 				return Meta{}, fmt.Errorf("release: %w", ErrClosed)
 			}
 			return Meta{}, fmt.Errorf("release: recording submission: %w", err)

@@ -284,6 +284,11 @@ func TestCorruptSidecarFailsEvaluationOnly(t *testing.T) {
 	if after.Status != api.EvalStatusFailed || !strings.Contains(after.Error, "sidecar unrecoverable") {
 		t.Fatalf("corrupt sidecar: status %s error %q", after.Status, after.Error)
 	}
+	// The eval log still names the corrupt sidecar: it is kept for
+	// forensics, not swept as an orphan.
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("referenced corrupt sidecar swept: %v", err)
+	}
 	// The release is untouched: still ready, still answering queries.
 	rel, err := c2.GetRelease(ctx, ev.ReleaseID)
 	if err != nil || rel.Status != api.StatusReady {
