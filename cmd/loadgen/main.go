@@ -54,8 +54,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -65,7 +67,6 @@ import (
 	"repro/anon"
 	"repro/internal/census"
 	"repro/internal/microdata"
-	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/pkg/api"
 	"repro/pkg/client"
@@ -189,23 +190,19 @@ func main() {
 	}
 
 	// Per-endpoint tallies, indexed like endpoints; workers write only
-	// their endpoint's slot through atomics. lat is a log-bucketed
-	// histogram of per-request round-trip times (the percentile source);
-	// maxNanos tracks the exact worst request.
+	// their endpoint's slot through atomics. Each worker keeps its own
+	// request round-trip times in rtts[w], merged once the run is over.
 	type endpointStats struct {
-		done     atomic.Int64 // queries completed
-		hits     atomic.Int64
-		requests atomic.Int64
-		latNanos atomic.Int64
-		failed   atomic.Int64
-		maxNanos atomic.Int64
-		lat      obs.Histogram
-		slow     slowTracker // slowest requests, by server request ID
+		done   atomic.Int64 // queries completed
+		hits   atomic.Int64
+		failed atomic.Int64
+		slow   slowTracker // slowest requests, by server request ID
 	}
 	var (
 		issued    atomic.Int64 // queries claimed by workers
 		wg        sync.WaitGroup
 		stats     = make([]endpointStats, len(endpoints))
+		rtts      = make([][]time.Duration, *concurrency)
 		batchSize = *batch
 	)
 	if *single {
@@ -244,16 +241,8 @@ func main() {
 				t0 := time.Now()
 				h, reqID, err := post(ctx, c, id, qs, *single)
 				rtt := time.Since(t0)
-				st.latNanos.Add(int64(rtt))
-				st.lat.Observe(rtt)
+				rtts[w] = append(rtts[w], rtt)
 				st.slow.note(reqID, rtt, *slowest)
-				for {
-					prev := st.maxNanos.Load()
-					if int64(rtt) <= prev || st.maxNanos.CompareAndSwap(prev, int64(rtt)) {
-						break
-					}
-				}
-				st.requests.Add(1)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "loadgen: worker %d (%s): %v\n", w, endpoints[ep], err)
 					st.failed.Add(n)
@@ -267,27 +256,31 @@ func main() {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	var done, hits, requests, latNanos, failed, maxNanos int64
-	var overall obs.Histogram
+	var done, hits, failed int64
 	for i := range stats {
 		done += stats[i].done.Load()
 		hits += stats[i].hits.Load()
-		requests += stats[i].requests.Load()
-		latNanos += stats[i].latNanos.Load()
 		failed += stats[i].failed.Load()
-		if m := stats[i].maxNanos.Load(); m > maxNanos {
-			maxNanos = m
-		}
-		overall.Merge(&stats[i].lat)
 	}
+	// Worker w drove endpoint w % len(endpoints).
+	epLat := make([]latencies, len(endpoints))
+	for i := range endpoints {
+		var parts [][]time.Duration
+		for w := i; w < len(rtts); w += len(endpoints) {
+			parts = append(parts, rtts[w])
+		}
+		epLat[i] = mergeLatencies(parts...)
+	}
+	overall := mergeLatencies(rtts...)
+	requests := int64(len(overall))
 	qps := float64(done) / elapsed.Seconds()
 	fmt.Printf("queries:      %d (%d failed)\n", done, failed)
 	fmt.Printf("elapsed:      %v\n", elapsed.Round(time.Millisecond))
 	fmt.Printf("throughput:   %.0f queries/sec\n", qps)
 	if requests > 0 {
 		fmt.Printf("requests:     %d (batch size %d, avg latency %v)\n",
-			requests, batchSize, (time.Duration(latNanos) / time.Duration(requests)).Round(time.Microsecond))
-		fmt.Printf("latency:      %s\n", latLine(&overall, maxNanos))
+			requests, batchSize, overall.mean().Round(time.Microsecond))
+		fmt.Printf("latency:      %s\n", overall.line())
 	}
 	if done > 0 {
 		fmt.Printf("cache hits:   %d (%.1f%%)\n", hits, 100*float64(hits)/float64(done))
@@ -297,7 +290,7 @@ func main() {
 			st := &stats[i]
 			n := st.done.Load()
 			fmt.Printf("endpoint %-32s %8.0f q/s  (%d queries, %d failed, %s)\n",
-				a+":", float64(n)/elapsed.Seconds(), n, st.failed.Load(), latLine(&st.lat, st.maxNanos.Load()))
+				a+":", float64(n)/elapsed.Seconds(), n, st.failed.Load(), epLat[i].line())
 		}
 	}
 	if *slowest > 0 {
@@ -320,15 +313,15 @@ func main() {
 			ElapsedSeconds: elapsed.Seconds(),
 			Queries:        done, Failed: failed, Requests: requests,
 			ThroughputQPS: qps, CacheHits: hits,
-			Latency: latReport(&overall, requests, latNanos, maxNanos),
+			Latency: overall.report(),
 		}
 		for i, a := range endpoints {
 			st := &stats[i]
 			rep.Endpoints = append(rep.Endpoints, endpointReport{
 				Addr: a, Queries: st.done.Load(), Failed: st.failed.Load(),
-				Requests: st.requests.Load(),
+				Requests: int64(len(epLat[i])),
 				QPS:      float64(st.done.Load()) / elapsed.Seconds(),
-				Latency:  latReport(&st.lat, st.requests.Load(), st.latNanos.Load(), st.maxNanos.Load()),
+				Latency:  epLat[i].report(),
 				Slowest:  st.slow.list(),
 			})
 		}
@@ -386,9 +379,8 @@ type reportConfig struct {
 	Agg         string   `json:"agg,omitempty"`
 }
 
-// latencyReport carries request round-trip percentiles in milliseconds.
-// Percentiles come from a log-bucketed histogram (upper bound of the
-// containing bucket, ≤ 2× resolution); mean and max are exact.
+// latencyReport carries request round-trip times in milliseconds, all
+// exact: the percentiles are nearest-rank over every request's sample.
 type latencyReport struct {
 	Mean float64 `json:"mean"`
 	P50  float64 `json:"p50"`
@@ -411,26 +403,52 @@ type endpointReport struct {
 	Slowest  []slowRequest `json:"slowest,omitempty"`
 }
 
-func latReport(h *obs.Histogram, requests, latNanos, maxNanos int64) latencyReport {
-	r := latencyReport{
-		P50: h.Quantile(0.50) * 1e3,
-		P95: h.Quantile(0.95) * 1e3,
-		P99: h.Quantile(0.99) * 1e3,
-		Max: float64(maxNanos) / 1e6,
-	}
-	if requests > 0 {
-		r.Mean = float64(latNanos) / float64(requests) / 1e6
-	}
-	return r
+// latencies is a set of request round-trip times, sorted ascending.
+type latencies []time.Duration
+
+// mergeLatencies joins per-worker samples into one sorted set.
+func mergeLatencies(parts ...[]time.Duration) latencies {
+	l := latencies(slices.Concat(parts...))
+	slices.Sort(l)
+	return l
 }
 
-// latLine renders the percentile summary for the human-readable report.
-func latLine(h *obs.Histogram, maxNanos int64) string {
-	q := func(p float64) time.Duration {
-		return time.Duration(h.Quantile(p) * float64(time.Second)).Round(time.Microsecond)
+// quantile returns the nearest-rank q-quantile: the smallest sample with
+// at least q of all samples at or below it, so it is always a sample and
+// never above the max. Zero for an empty set.
+func (l latencies) quantile(q float64) time.Duration {
+	if len(l) == 0 {
+		return 0
 	}
-	return fmt.Sprintf("p50 %v  p95 %v  p99 %v  max %v",
-		q(0.50), q(0.95), q(0.99), time.Duration(maxNanos).Round(time.Microsecond))
+	return l[max(int(math.Ceil(q*float64(len(l)))), 1)-1]
+}
+
+func (l latencies) mean() time.Duration {
+	if len(l) == 0 {
+		return 0
+	}
+	var sum time.Duration
+	for _, d := range l {
+		sum += d
+	}
+	return sum / time.Duration(len(l))
+}
+
+func (l latencies) report() latencyReport {
+	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
+	return latencyReport{
+		Mean: ms(l.mean()),
+		P50:  ms(l.quantile(0.50)),
+		P95:  ms(l.quantile(0.95)),
+		P99:  ms(l.quantile(0.99)),
+		Max:  ms(l.quantile(1)),
+	}
+}
+
+// line renders the percentile summary for the human-readable report.
+func (l latencies) line() string {
+	q := func(p float64) time.Duration { return l.quantile(p).Round(time.Microsecond) }
+	return fmt.Sprintf("p50 %v  p95 %v  p99 %v  max %v", q(0.50), q(0.95), q(0.99), q(1))
 }
 
 // uploadRelease generates a CENSUS table, submits a generalized release

@@ -29,7 +29,7 @@
 //
 //	serve -gateway -nodes n1=http://h1:8080,n2=http://h2:8080,... \
 //	      [-addr :8090] [-replication 2] [-cluster-token TOK] \
-//	      [-probe-interval 2s] [-reconcile-interval 15s] \
+//	      [-probe-interval 2s] [-reconcile-interval 15s] [-max-body-mb M] \
 //	      [-log-level info] [-slow-query-ms 0] \
 //	      [-trace-capacity N] [-trace-sample N] [-trace-slow-ms MS]
 //
@@ -106,7 +106,7 @@ func main() {
 	}
 
 	if *gateway {
-		runGateway(*addr, *nodes, *replication, *clusterToken, *probeInterval, *reconcileInterval, logger, slowQuery, traceOpts)
+		runGateway(*addr, *nodes, *replication, *clusterToken, *probeInterval, *reconcileInterval, *maxBodyMB<<20, logger, slowQuery, traceOpts)
 		return
 	}
 
@@ -201,7 +201,7 @@ func parseNodes(spec string) ([]cluster.Node, error) {
 }
 
 // runGateway serves the cluster gateway until interrupted.
-func runGateway(addr, nodesSpec string, replication int, token string, probe, reconcile time.Duration, logger *slog.Logger, slowQuery time.Duration, traceOpts tracestore.Options) {
+func runGateway(addr, nodesSpec string, replication int, token string, probe, reconcile time.Duration, maxBody int64, logger *slog.Logger, slowQuery time.Duration, traceOpts tracestore.Options) {
 	members, err := parseNodes(nodesSpec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
@@ -213,6 +213,7 @@ func runGateway(addr, nodesSpec string, replication int, token string, probe, re
 		Token:             token,
 		ProbeInterval:     probe,
 		ReconcileInterval: reconcile,
+		MaxBodyBytes:      maxBody,
 		Logger:            logger,
 		SlowQuery:         slowQuery,
 		Trace:             traceOpts,

@@ -13,7 +13,9 @@
 //
 //   - Membership and placement: a flag-configured node list probed via
 //     /healthz on an interval, with a per-node circuit breaker (a
-//     transport failure opens it; the next successful probe closes it).
+//     transport failure opens it unless the request's own context had
+//     already ended; the next successful probe closes it). Every
+//     gateway-to-node request goes through Membership.call.
 //     Releases are placed by rendezvous hashing over (node ID, release
 //     ID) with replication factor R; the node whose ID prefixes the
 //     release ID (the owner that minted it) always anchors the set.
@@ -41,15 +43,19 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
+	"repro/pkg/api"
 )
 
 // Node is one cluster member as configured: its identity (the -node-id
@@ -66,9 +72,10 @@ type nodeState struct {
 	// alive is the circuit breaker: false while the node is considered
 	// down. A transport-level request failure opens the breaker
 	// immediately (the failed call already paid the timeout; peers must
-	// not), and only a successful health probe closes it again —
-	// probe-driven half-open, with no request-path retries against a
-	// known-dead node in between.
+	// not), unless the request's context had already ended — a caller
+	// that gave up says nothing about the node. Only a successful health
+	// probe closes it again: probe-driven half-open, with no request-path
+	// retries against a known-dead node in between.
 	alive atomic.Bool
 	// inflight counts requests the gateway currently has outstanding
 	// against the node; scatter/gather picks the least-loaded replica.
@@ -93,20 +100,19 @@ func (st *nodeState) lastError() string {
 }
 
 // Membership is the probed node set shared by the gateway's routing and
-// replication sides.
+// replication sides, and the one path by which the gateway talks to
+// its nodes.
 type Membership struct {
 	nodes []*nodeState
 	byID  map[string]*nodeState
 
-	hc         *http.Client
-	probeEvery time.Duration
+	hc *http.Client
+	// token authenticates the nodes' /v1/internal/ endpoints.
+	token string
 
 	// probeLat aggregates health-probe round-trip times across all nodes
 	// for the gateway's /metrics.
 	probeLat *obs.Histogram
-
-	stop chan struct{}
-	wg   sync.WaitGroup
 }
 
 // healthzBody is the fraction of a node's /healthz response the prober
@@ -118,19 +124,18 @@ type healthzBody struct {
 	Node   string `json:"node"`
 }
 
-// newMembership builds the probed node set. Nodes start alive so a
-// gateway is useful before its first probe tick; a dead member costs one
-// failed request, which opens its breaker.
-func newMembership(nodes []Node, hc *http.Client, probeEvery time.Duration) (*Membership, error) {
+// newMembership builds the node set. Nodes start alive so a gateway is
+// useful before its first probe tick; a dead member costs one failed
+// request, which opens its breaker.
+func newMembership(nodes []Node, hc *http.Client, token string) (*Membership, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: empty node list")
 	}
 	m := &Membership{
-		byID:       make(map[string]*nodeState, len(nodes)),
-		hc:         hc,
-		probeEvery: probeEvery,
-		probeLat:   &obs.Histogram{},
-		stop:       make(chan struct{}),
+		byID:     make(map[string]*nodeState, len(nodes)),
+		hc:       hc,
+		token:    token,
+		probeLat: &obs.Histogram{},
 	}
 	for _, n := range nodes {
 		if n.ID == "" || n.URL == "" {
@@ -144,33 +149,135 @@ func newMembership(nodes []Node, hc *http.Client, probeEvery time.Duration) (*Me
 		m.nodes = append(m.nodes, st)
 		m.byID[n.ID] = st
 	}
-	m.wg.Add(1)
-	go m.probeLoop()
 	return m, nil
 }
 
-// close stops the prober.
-func (m *Membership) close() {
-	close(m.stop)
-	m.wg.Wait()
-}
-
-// markDown opens a node's circuit breaker after a transport failure.
+// markDown opens a node's circuit breaker.
 func (m *Membership) markDown(st *nodeState) {
 	st.alive.Store(false)
 }
 
-// probeLoop re-probes every member on the interval. The first sweep runs
-// immediately so a node that was down at gateway start is discovered
-// within one round-trip, not one interval.
-func (m *Membership) probeLoop() {
-	defer m.wg.Done()
-	ticker := time.NewTicker(m.probeEvery)
+// nodeResponse is one node's complete HTTP answer, buffered so it can be
+// relayed or discarded in favor of a failover attempt.
+type nodeResponse struct {
+	status int
+	header http.Header
+	body   []byte
+}
+
+// call performs one gateway-to-node round trip under ctx and returns the
+// buffered answer, whatever its status. It sends the cluster token only
+// on internal paths, forwards the edge request ID so the node's logs and
+// traces join the caller's under one ID, and counts the call in the
+// node's in-flight load. A transport failure opens the node's breaker
+// only if ctx had not already ended.
+func (m *Membership) call(ctx context.Context, st *nodeState, method, path string, body []byte) (*nodeResponse, error) {
+	st.inflight.Add(1)
+	defer st.inflight.Add(-1)
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, st.node.URL+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	contentType := "application/json"
+	if strings.HasPrefix(path, "/v1/internal/") {
+		req.Header.Set("Authorization", "Bearer "+m.token)
+		contentType = "application/octet-stream" // a replication envelope
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", contentType)
+	}
+	obs.PropagateHeaders(req.Header, obs.RequestIDFrom(ctx))
+	resp, err := m.hc.Do(req)
+	var data []byte
+	if err == nil {
+		data, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+	}
+	if err != nil {
+		if ctx.Err() == nil {
+			m.markDown(st)
+		}
+		return nil, err
+	}
+	return &nodeResponse{status: resp.StatusCode, header: resp.Header, body: data}, nil
+}
+
+// callOK is call for callers that treat any answer outside 2xx as a
+// failure: it returns the body, or an error naming the request, the
+// node and the answer.
+func (m *Membership) callOK(ctx context.Context, st *nodeState, method, path string, body []byte) ([]byte, error) {
+	nr, err := m.call(ctx, st, method, path, body)
+	if err != nil {
+		return nil, err
+	}
+	if nr.status < 200 || nr.status > 299 {
+		return nil, fmt.Errorf("cluster: %s %s on %s: %d: %s", method, path, st.node.ID, nr.status, truncateBody(nr.body))
+	}
+	return nr.body, nil
+}
+
+func truncateBody(b []byte) string {
+	const max = 200
+	if len(b) > max {
+		b = b[:max]
+	}
+	return string(b)
+}
+
+// getJSON GETs path from one node and decodes its JSON answer into out;
+// an answer outside 2xx is an error, as in callOK.
+func (m *Membership) getJSON(ctx context.Context, st *nodeState, path string, out any) error {
+	body, err := m.callOK(ctx, st, http.MethodGet, path, nil)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(body, out); err != nil {
+		return fmt.Errorf("cluster: GET %s on %s: %w", path, st.node.ID, err)
+	}
+	return nil
+}
+
+// fanOut calls fn(i) for every i in [0, n) concurrently and returns once
+// all calls have; each call writes its result to its own index.
+func fanOut(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	wg.Wait()
+}
+
+// catalogs lists every live node's releases concurrently, indexed like
+// m.nodes; nil marks a node that is down or did not answer.
+func (m *Membership) catalogs(ctx context.Context) []*api.ListReleasesResponse {
+	out := make([]*api.ListReleasesResponse, len(m.nodes))
+	fanOut(len(m.nodes), func(i int) {
+		var list api.ListReleasesResponse
+		if st := m.nodes[i]; st.alive.Load() && m.getJSON(ctx, st, "/v1/releases", &list) == nil {
+			out[i] = &list
+		}
+	})
+	return out
+}
+
+// probeLoop re-probes every member on the interval until ctx ends. The
+// first sweep runs immediately so a node that was down at gateway start
+// is discovered within one round-trip, not one interval.
+func (m *Membership) probeLoop(ctx context.Context, every time.Duration) {
+	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	for {
-		m.probeAll()
+		m.probeAll(ctx, every)
 		select {
-		case <-m.stop:
+		case <-ctx.Done():
 			return
 		case <-ticker.C:
 		}
@@ -178,53 +285,38 @@ func (m *Membership) probeLoop() {
 }
 
 // probeAll probes every node concurrently and settles before returning.
-func (m *Membership) probeAll() {
-	var wg sync.WaitGroup
-	for _, st := range m.nodes {
-		wg.Add(1)
-		go func(st *nodeState) {
-			defer wg.Done()
-			start := time.Now()
-			err := m.probe(st)
-			rtt := time.Since(start)
-			st.probeNanos.Store(rtt.Nanoseconds())
-			m.probeLat.Observe(rtt)
-			if err != nil {
-				msg := err.Error()
-				st.lastErr.Store(&msg)
-				st.fails.Add(1)
-				m.markDown(st)
-			} else {
-				empty := ""
-				st.lastErr.Store(&empty)
-				st.fails.Store(0)
-				st.alive.Store(true)
-			}
-		}(st)
-	}
-	wg.Wait()
+// Each probe is bounded by timeout so a hung node cannot stall the sweep
+// past the probe interval; any failure, a timeout included, opens the
+// node's breaker and a success closes it.
+func (m *Membership) probeAll(ctx context.Context, timeout time.Duration) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	fanOut(len(m.nodes), func(i int) {
+		st := m.nodes[i]
+		start := time.Now()
+		err := m.probe(ctx, st)
+		rtt := time.Since(start)
+		st.probeNanos.Store(rtt.Nanoseconds())
+		m.probeLat.Observe(rtt)
+		if err != nil {
+			msg := err.Error()
+			st.lastErr.Store(&msg)
+			st.fails.Add(1)
+			m.markDown(st)
+		} else {
+			empty := ""
+			st.lastErr.Store(&empty)
+			st.fails.Store(0)
+			st.alive.Store(true)
+		}
+	})
 }
 
-// probe issues one /healthz round-trip, bounded so a hung node cannot
-// stall the sweep past the probe interval.
-func (m *Membership) probe(st *nodeState) error {
-	ctx, cancel := context.WithTimeout(context.Background(), m.probeEvery)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, st.node.URL+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := m.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: %s /healthz: %d", st.node.ID, resp.StatusCode)
-	}
+// probe issues one /healthz round-trip and checks the node's identity.
+func (m *Membership) probe(ctx context.Context, st *nodeState) error {
 	var body healthzBody
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return fmt.Errorf("cluster: %s /healthz: %w", st.node.ID, err)
+	if err := m.getJSON(ctx, st, "/healthz", &body); err != nil {
+		return err
 	}
 	// Exact match required: a node reporting no identity is a serve
 	// process missing -node-id, which would mint unprefixed (and

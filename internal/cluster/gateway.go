@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -38,7 +37,8 @@ type Options struct {
 	ReconcileInterval time.Duration
 	// Client overrides the HTTP client used for all node traffic.
 	Client *http.Client
-	// MaxBodyBytes caps proxied create bodies; ≤ 0 selects 256 MiB.
+	// MaxBodyBytes caps proxied create and :evaluate bodies; ≤ 0
+	// selects 256 MiB.
 	MaxBodyBytes int64
 	// Logger receives the gateway's structured log lines; nil selects
 	// slog.Default().
@@ -63,11 +63,14 @@ type Options struct {
 type Gateway struct {
 	mem     *Membership
 	rfactor int
-	token   string
-	hc      *http.Client
 	mux     *http.ServeMux
 	edge    *edge.Edge
 	repl    *replicator
+
+	// stop cancels the context the prober and the replicator run under,
+	// and with it their node requests in flight; wg waits for both.
+	stop context.CancelFunc
+	wg   sync.WaitGroup
 
 	maxBody      int64
 	maxBatchBody int64
@@ -87,7 +90,7 @@ func New(opts Options) (*Gateway, error) {
 	if probe <= 0 {
 		probe = 2 * time.Second
 	}
-	mem, err := newMembership(opts.Nodes, hc, probe)
+	mem, err := newMembership(opts.Nodes, hc, opts.Token)
 	if err != nil {
 		return nil, err
 	}
@@ -101,8 +104,6 @@ func New(opts Options) (*Gateway, error) {
 	g := &Gateway{
 		mem:     mem,
 		rfactor: r,
-		token:   opts.Token,
-		hc:      hc,
 		mux:     http.NewServeMux(),
 		maxBody: opts.MaxBodyBytes,
 		logger:  opts.Logger,
@@ -126,6 +127,11 @@ func New(opts Options) (*Gateway, error) {
 		reconcile = 15 * time.Second
 	}
 	g.repl = newReplicator(g, reconcile)
+	ctx, stop := context.WithCancel(context.Background())
+	g.stop = stop
+	g.wg.Add(2)
+	go func() { defer g.wg.Done(); g.mem.probeLoop(ctx, probe) }()
+	go func() { defer g.wg.Done(); g.repl.run(ctx) }()
 	instrument := g.edge.Wrap
 	g.mux.HandleFunc("GET /healthz", instrument("healthz", g.handleHealthz))
 	g.mux.HandleFunc("GET /metrics", instrument("metrics", g.edge.MetricsHandler(g.writeMetrics)))
@@ -143,12 +149,13 @@ func New(opts Options) (*Gateway, error) {
 	return g, nil
 }
 
-// Close stops the load sampler, the prober, and the replicator.
+// Close stops the load sampler, the prober, and the replicator,
+// cancelling their node requests in flight before it waits for them.
 // In-flight proxied requests are not interrupted.
 func (g *Gateway) Close() {
+	g.stop()
+	g.wg.Wait()
 	g.edge.Close()
-	g.repl.close()
-	g.mem.close()
 }
 
 // Replication returns the effective replica count R.
@@ -157,51 +164,6 @@ func (g *Gateway) Replication() int { return g.rfactor }
 // ServeHTTP implements http.Handler.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mux.ServeHTTP(w, r)
-}
-
-// nodeResponse is one node's complete HTTP answer, buffered so it can be
-// relayed or discarded in favor of a failover attempt.
-type nodeResponse struct {
-	status int
-	header http.Header
-	body   []byte
-}
-
-// exchange performs one round-trip against a node, tracking in-flight
-// load. A transport-level failure opens the node's circuit breaker and
-// returns an error; any HTTP response — success or not — returns
-// buffered.
-func (g *Gateway) exchange(ctx context.Context, st *nodeState, method, path, contentType string, body []byte) (*nodeResponse, error) {
-	st.inflight.Add(1)
-	defer st.inflight.Add(-1)
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, st.node.URL+path, rd)
-	if err != nil {
-		return nil, err
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	// Forward the edge request ID so the node's logs and slow-query
-	// entries join this request's trace under one grep-able ID.
-	if id := obs.RequestIDFrom(ctx); id != "" {
-		obs.PropagateHeaders(req.Header, id)
-	}
-	resp, err := g.hc.Do(req)
-	if err != nil {
-		g.mem.markDown(st)
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		g.mem.markDown(st)
-		return nil, err
-	}
-	return &nodeResponse{status: resp.StatusCode, header: resp.Header, body: data}, nil
 }
 
 // relay copies a node's buffered response to the client.
@@ -288,10 +250,10 @@ func (g *Gateway) relayMiss(w http.ResponseWriter, releaseID string, m *missTrac
 // failing over past dead nodes and retriable misses. The first
 // conclusive response is relayed; an all-miss sweep relays through
 // relayMiss; total transport failure yields 503.
-func (g *Gateway) tryNodes(w http.ResponseWriter, r *http.Request, candidates []*nodeState, method, path, contentType string, body []byte, what, releaseID string) {
+func (g *Gateway) tryNodes(w http.ResponseWriter, r *http.Request, candidates []*nodeState, method, path string, body []byte, what, releaseID string) {
 	var misses missTracker
 	for _, st := range candidates {
-		nr, err := g.exchange(r.Context(), st, method, path, contentType, body)
+		nr, err := g.mem.call(r.Context(), st, method, path, body)
 		if err != nil {
 			if r.Context().Err() != nil {
 				return // client went away; nothing to relay
@@ -352,7 +314,7 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, st := range candidates {
-		nr, err := g.exchange(r.Context(), st, http.MethodPost, "/v1/releases", "application/json", body)
+		nr, err := g.mem.call(r.Context(), st, http.MethodPost, "/v1/releases", body)
 		if err != nil {
 			if r.Context().Err() != nil {
 				return
@@ -383,7 +345,7 @@ func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request) {
 		noLiveReplica(w, "release lookup")
 		return
 	}
-	g.tryNodes(w, r, candidates, http.MethodGet, "/v1/releases/"+id, "", nil, "release lookup", id)
+	g.tryNodes(w, r, candidates, http.MethodGet, "/v1/releases/"+id, nil, "release lookup", id)
 }
 
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -399,7 +361,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		noLiveReplica(w, "query")
 		return
 	}
-	g.tryNodes(w, r, candidates, http.MethodPost, "/v1/releases/"+id+"/query", "application/json", body, "query", id)
+	g.tryNodes(w, r, candidates, http.MethodPost, "/v1/releases/"+id+"/query", body, "query", id)
 }
 
 // handleEvaluate proxies POST /v1/releases/{id}:evaluate. Evaluations
@@ -423,7 +385,7 @@ func (g *Gateway) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		noLiveReplica(w, "evaluation submit")
 		return
 	}
-	g.tryNodes(w, r, candidates, http.MethodPost, "/v1/releases/"+id+":evaluate", "application/json", body, "evaluation submit", id)
+	g.tryNodes(w, r, candidates, http.MethodPost, "/v1/releases/"+id+":evaluate", body, "evaluation submit", id)
 }
 
 // handleGetEvaluation reads a release's evaluation state. The same
@@ -438,7 +400,7 @@ func (g *Gateway) handleGetEvaluation(w http.ResponseWriter, r *http.Request) {
 		noLiveReplica(w, "evaluation lookup")
 		return
 	}
-	g.tryNodes(w, r, candidates, http.MethodGet, "/v1/releases/"+id+"/evaluation", "", nil, "evaluation lookup", id)
+	g.tryNodes(w, r, candidates, http.MethodGet, "/v1/releases/"+id+"/evaluation", nil, "evaluation lookup", id)
 }
 
 // placementCandidates is the live placement ranking for one release:
@@ -459,40 +421,7 @@ func (g *Gateway) placementCandidates(id string) []*nodeState {
 // release's placement ranking (the owner when alive — its metadata is the
 // recorded build, not a replica's install), ordered newest first.
 func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
-	type nodeList struct {
-		st   *nodeState
-		rels []api.Release
-	}
-	var (
-		mu    sync.Mutex
-		lists []nodeList
-		wg    sync.WaitGroup
-	)
-	for _, st := range g.mem.nodes {
-		if !st.alive.Load() {
-			continue
-		}
-		wg.Add(1)
-		go func(st *nodeState) {
-			defer wg.Done()
-			nr, err := g.exchange(r.Context(), st, http.MethodGet, "/v1/releases", "", nil)
-			if err != nil || nr.status != http.StatusOK {
-				return
-			}
-			var out api.ListReleasesResponse
-			if json.Unmarshal(nr.body, &out) != nil {
-				return
-			}
-			mu.Lock()
-			lists = append(lists, nodeList{st, out.Releases})
-			mu.Unlock()
-		}(st)
-	}
-	wg.Wait()
-	if len(lists) == 0 {
-		noLiveReplica(w, "listing")
-		return
-	}
+	catalogs := g.mem.catalogs(r.Context())
 	// Placement is a pure function of the ID, so compute each ranking
 	// once per distinct release, not once per (release, holder) pair — a
 	// big catalog is listed by every node.
@@ -512,14 +441,23 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 	}
 	best := make(map[string]api.Release)
 	bestRank := make(map[string]int)
-	for _, nl := range lists {
-		for _, rel := range nl.rels {
-			rk := rank(rel.ID, nl.st)
+	answered := false
+	for i, cat := range catalogs {
+		if cat == nil {
+			continue
+		}
+		answered = true
+		for _, rel := range cat.Releases {
+			rk := rank(rel.ID, g.mem.nodes[i])
 			if cur, ok := bestRank[rel.ID]; !ok || rk < cur {
 				best[rel.ID] = rel
 				bestRank[rel.ID] = rk
 			}
 		}
+	}
+	if !answered {
+		noLiveReplica(w, "listing")
+		return
 	}
 	merged := make([]api.Release, 0, len(best))
 	for _, rel := range best {
@@ -578,15 +516,9 @@ func (g *Gateway) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 
 	outcomes := make([]chunkOutcome, len(chunks))
 	fanStart := time.Now()
-	var wg sync.WaitGroup
-	for ci, ch := range chunks {
-		wg.Add(1)
-		go func(ci int, ch subBatch) {
-			defer wg.Done()
-			outcomes[ci] = g.dispatchChunk(r, req.ReleaseID, ch, candidates, ci)
-		}(ci, ch)
-	}
-	wg.Wait()
+	fanOut(len(chunks), func(ci int) {
+		outcomes[ci] = g.dispatchChunk(r, req.ReleaseID, chunks[ci], candidates, ci)
+	})
 	g.stages.Observe("gateway.fanout", time.Since(fanStart))
 
 	endMerge := tr.StartSpan("gateway.merge")
@@ -649,7 +581,7 @@ func (g *Gateway) dispatchChunk(r *http.Request, releaseID string, ch subBatch, 
 		// sub-batch spans against different nodes in the same trace.
 		endSpan := tr.StartSpanNode("gateway.subbatch", st.node.ID)
 		attemptStart := time.Now()
-		nr, err := g.exchange(r.Context(), st, http.MethodPost, "/v1/query:batch", "application/json", body)
+		nr, err := g.mem.call(r.Context(), st, http.MethodPost, "/v1/query:batch", body)
 		g.stages.Observe("gateway.subbatch", time.Since(attemptStart))
 		endSpan()
 		if err != nil {

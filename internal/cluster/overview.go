@@ -8,12 +8,9 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/edge"
@@ -21,36 +18,14 @@ import (
 	"repro/pkg/api"
 )
 
-// debugFetchTimeout bounds each per-node fetch on the debug paths. The
-// debug sweep deliberately ignores the circuit breaker — a node whose
-// breaker is open may hold the only copy of a failed attempt's spans, and
-// that failure is exactly what the caller is debugging — so a hard
-// per-node deadline keeps a truly dead member from stalling the page.
+// debugFetchTimeout bounds the per-node fetches of the debug paths. The
+// debug sweeps deliberately ignore the circuit breaker — a node whose
+// breaker is open may hold the only copy of a failed attempt's spans,
+// and that failure is exactly what the caller is debugging — so a hard
+// deadline keeps a truly dead member from stalling the page. A fetch cut
+// by this deadline never opens a breaker; a refused or reset connection
+// does, as on every other node call.
 const debugFetchTimeout = 2 * time.Second
-
-// internalGet performs one authenticated GET against a node's internal
-// API, without touching the circuit breaker: debug reads must neither
-// respect it (see debugFetchTimeout) nor open it (a failed trace fetch
-// says nothing about the node's ability to serve queries).
-func (g *Gateway) internalGet(ctx context.Context, st *nodeState, path string, out any) error {
-	ctx, cancel := context.WithTimeout(ctx, debugFetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, st.node.URL+path, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Authorization", "Bearer "+g.token)
-	resp, err := g.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return fmt.Errorf("%s%s: %d: %s", st.node.ID, path, resp.StatusCode, body)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
 
 // handleTraceDebug assembles one cross-node trace: the gateway's own
 // retained part first, then whatever each node still holds under the
@@ -63,30 +38,27 @@ func (g *Gateway) handleTraceDebug(w http.ResponseWriter, r *http.Request) {
 	if part, ok := g.edge.Trace(id); ok {
 		parts = append(parts, part)
 	}
-	if g.token != "" {
-		var (
-			mu        sync.Mutex
-			wg        sync.WaitGroup
-			nodeParts []api.TraceResponse
-		)
-		for _, st := range g.mem.nodes {
-			wg.Add(1)
-			go func(st *nodeState) {
-				defer wg.Done()
-				var part api.TraceResponse
-				if err := g.internalGet(r.Context(), st, "/v1/internal/traces/"+id, &part); err != nil {
-					return // sampled out there, or unreachable: merge what exists
-				}
-				mu.Lock()
-				nodeParts = append(nodeParts, part)
-				mu.Unlock()
-			}(st)
+	if g.mem.token != "" {
+		ctx, cancel := context.WithTimeout(r.Context(), debugFetchTimeout)
+		defer cancel()
+		fetched := make([]*api.TraceResponse, len(g.mem.nodes))
+		fanOut(len(g.mem.nodes), func(i int) {
+			var part api.TraceResponse
+			// An error means sampled out there, or unreachable: merge what exists.
+			if g.mem.getJSON(ctx, g.mem.nodes[i], "/v1/internal/traces/"+id, &part) == nil {
+				fetched[i] = &part
+			}
+		})
+		var nodeParts []api.TraceResponse
+		for _, part := range fetched {
+			if part != nil {
+				nodeParts = append(nodeParts, *part)
+			}
 		}
-		wg.Wait()
-		// Node answers land in goroutine-completion order; sort them so the
-		// assembled document — including the route/status header MergeParts
-		// takes from the first part when the gateway's own view was sampled
-		// out — is identical across identical requests.
+		// Sort by origin, not membership order, so the assembled document —
+		// including the route/status header MergeParts takes from the first
+		// part when the gateway's own view was sampled out — does not depend
+		// on how the -nodes flag lists the members.
 		sortTraceParts(nodeParts)
 		parts = append(parts, nodeParts...)
 	}
@@ -126,24 +98,21 @@ func (g *Gateway) handleOverview(w http.ResponseWriter, r *http.Request) {
 		Gateway:     g.edge.LoadSeries(),
 		Nodes:       make([]api.OverviewNode, len(g.mem.nodes)),
 	}
-	var wg sync.WaitGroup
-	for i, st := range g.mem.nodes {
-		out.Nodes[i] = api.OverviewNode{ID: st.node.ID, URL: st.node.URL, Alive: st.alive.Load()}
-		if g.token == "" {
-			out.Nodes[i].Error = "no cluster token configured; node load is not readable"
-			continue
+	ctx, cancel := context.WithTimeout(r.Context(), debugFetchTimeout)
+	defer cancel()
+	fanOut(len(g.mem.nodes), func(i int) {
+		st, n := g.mem.nodes[i], &out.Nodes[i]
+		*n = api.OverviewNode{ID: st.node.ID, URL: st.node.URL, Alive: st.alive.Load()}
+		if g.mem.token == "" {
+			n.Error = "no cluster token configured; node load is not readable"
+			return
 		}
-		wg.Add(1)
-		go func(i int, st *nodeState) {
-			defer wg.Done()
-			var series api.LoadSeries
-			if err := g.internalGet(r.Context(), st, "/v1/internal/load", &series); err != nil {
-				out.Nodes[i].Error = err.Error()
-				return
-			}
-			out.Nodes[i].Load = &series
-		}(i, st)
-	}
-	wg.Wait()
+		var series api.LoadSeries
+		if err := g.mem.getJSON(ctx, st, "/v1/internal/load", &series); err != nil {
+			n.Error = err.Error()
+			return
+		}
+		n.Load = &series
+	})
 	edge.WriteJSON(w, http.StatusOK, out)
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"net/http"
 	"testing"
-	"time"
 )
 
 func testMembership(t *testing.T, ids ...string) *Membership {
@@ -12,11 +11,10 @@ func testMembership(t *testing.T, ids ...string) *Membership {
 	for i, id := range ids {
 		nodes[i] = Node{ID: id, URL: "http://unreachable.invalid/" + id}
 	}
-	m, err := newMembership(nodes, &http.Client{Timeout: 10 * time.Millisecond}, time.Hour)
+	m, err := newMembership(nodes, http.DefaultClient, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.close)
 	return m
 }
 

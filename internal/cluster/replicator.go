@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -20,12 +18,9 @@ import (
 // this gateway. Replication is idempotent end to end (RegisterAs drops
 // duplicates), so the two triggers need no coordination.
 type replicator struct {
-	g     *Gateway
-	every time.Duration
-
+	g       *Gateway
+	every   time.Duration
 	watches chan string
-	stop    chan struct{}
-	done    chan struct{}
 }
 
 // watchPollInterval is the cadence for polling a just-created release
@@ -37,20 +32,7 @@ const watchPollInterval = 150 * time.Millisecond
 const maxWatch = 15 * time.Minute
 
 func newReplicator(g *Gateway, every time.Duration) *replicator {
-	r := &replicator{
-		g:       g,
-		every:   every,
-		watches: make(chan string, 256),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	go r.run()
-	return r
-}
-
-func (r *replicator) close() {
-	close(r.stop)
-	<-r.done
+	return &replicator{g: g, every: every, watches: make(chan string, 256)}
 }
 
 // watch enqueues a release for build-completion tracking. A full queue
@@ -62,17 +44,16 @@ func (r *replicator) watch(id string) {
 	}
 }
 
-// run multiplexes watches and sweeps on one goroutine: replication volume
-// is bounded by build throughput, and a single writer keeps the
-// fetch-once-ship-many path simple.
-func (r *replicator) run() {
-	defer close(r.done)
-	if r.g.token == "" {
+// run multiplexes watches and sweeps on one goroutine until ctx ends:
+// replication volume is bounded by build throughput, and a single writer
+// keeps the fetch-once-ship-many path simple.
+func (r *replicator) run(ctx context.Context) {
+	if r.g.mem.token == "" {
 		// No token, no internal endpoints: drain triggers so creates do
 		// not block, but ship nothing.
 		for {
 			select {
-			case <-r.stop:
+			case <-ctx.Done():
 				return
 			case <-r.watches:
 			}
@@ -85,18 +66,18 @@ func (r *replicator) run() {
 	defer poll.Stop()
 	for {
 		select {
-		case <-r.stop:
+		case <-ctx.Done():
 			return
 		case id := <-r.watches:
 			pending[id] = time.Now().Add(maxWatch)
 		case <-poll.C:
 			for id, deadline := range pending {
-				if done := r.checkWatched(id); done || time.Now().After(deadline) {
+				if done := r.checkWatched(ctx, id); done || time.Now().After(deadline) {
 					delete(pending, id)
 				}
 			}
 		case <-ticker.C:
-			r.reconcile()
+			r.reconcile(ctx)
 		}
 	}
 }
@@ -107,14 +88,14 @@ func (r *replicator) run() {
 // which means its node died with it and the reconcile sweep owns it
 // from there (continuing to poll would hammer the whole membership for
 // the full watch deadline).
-func (r *replicator) checkWatched(id string) bool {
+func (r *replicator) checkWatched(ctx context.Context, id string) bool {
 	missed, unreachable := false, false
 	for _, st := range r.g.mem.placement(id) {
 		if !st.alive.Load() {
 			unreachable = true
 			continue
 		}
-		rel, found, err := r.getRelease(st, id)
+		rel, found, err := r.getRelease(ctx, st, id)
 		if err != nil {
 			unreachable = true
 			continue
@@ -125,7 +106,7 @@ func (r *replicator) checkWatched(id string) bool {
 		}
 		switch rel.Status {
 		case api.StatusReady:
-			r.replicate(id, []*nodeState{st})
+			r.replicate(ctx, id, []*nodeState{st})
 			return true
 		case api.StatusFailed:
 			return true // terminal: nothing to ship
@@ -142,8 +123,8 @@ func (r *replicator) checkWatched(id string) bool {
 // getRelease fetches one release's metadata directly from one node.
 // found distinguishes a conclusive 404 from a node that answered; err
 // reports a node that could not be asked.
-func (r *replicator) getRelease(st *nodeState, id string) (rel api.Release, found bool, err error) {
-	nr, err := r.g.exchange(context.Background(), st, http.MethodGet, "/v1/releases/"+id, "", nil)
+func (r *replicator) getRelease(ctx context.Context, st *nodeState, id string) (rel api.Release, found bool, err error) {
+	nr, err := r.g.mem.call(ctx, st, http.MethodGet, "/v1/releases/"+id, nil)
 	if err != nil {
 		return api.Release{}, false, err
 	}
@@ -161,36 +142,28 @@ func (r *replicator) getRelease(st *nodeState, id string) (rel api.Release, foun
 
 // reconcile re-derives desired placement from the live catalogs and ships
 // every missing copy: the idempotent convergence sweep.
-func (r *replicator) reconcile() {
+func (r *replicator) reconcile(ctx context.Context) {
 	defer r.g.replSweeps.Add(1)
 	holders := make(map[string][]*nodeState)
-	for _, st := range r.g.mem.nodes {
-		if !st.alive.Load() {
+	for i, cat := range r.g.mem.catalogs(ctx) {
+		if cat == nil {
 			continue
 		}
-		nr, err := r.g.exchange(context.Background(), st, http.MethodGet, "/v1/releases", "", nil)
-		if err != nil || nr.status != http.StatusOK {
-			continue
-		}
-		var out api.ListReleasesResponse
-		if json.Unmarshal(nr.body, &out) != nil {
-			continue
-		}
-		for _, rel := range out.Releases {
+		for _, rel := range cat.Releases {
 			if rel.Status == api.StatusReady {
-				holders[rel.ID] = append(holders[rel.ID], st)
+				holders[rel.ID] = append(holders[rel.ID], r.g.mem.nodes[i])
 			}
 		}
 	}
 	for id, hs := range holders {
-		r.replicate(id, hs)
+		r.replicate(ctx, id, hs)
 	}
 }
 
 // replicate brings one ready release up to its replica set: fetch the
 // envelope once from a holder, ship it to every live target that lacks a
 // copy. holders lists nodes known to serve the release ready.
-func (r *replicator) replicate(id string, holders []*nodeState) {
+func (r *replicator) replicate(ctx context.Context, id string, holders []*nodeState) {
 	targets := r.g.mem.replicaSet(id, r.g.rfactor)
 	holding := make(map[*nodeState]bool, len(holders))
 	for _, h := range holders {
@@ -207,7 +180,7 @@ func (r *replicator) replicate(id string, holders []*nodeState) {
 		if env == nil {
 			var err error
 			fetchStart := time.Now()
-			env, err = r.fetchEnvelope(id, holders)
+			env, err = r.fetchEnvelope(ctx, id, holders)
 			r.g.stages.Observe("gateway.replication_fetch", time.Since(fetchStart))
 			if err != nil {
 				r.g.countReplication(0, err)
@@ -216,7 +189,7 @@ func (r *replicator) replicate(id string, holders []*nodeState) {
 			}
 		}
 		pushStart := time.Now()
-		err := r.ship(id, st, env)
+		_, err := r.g.mem.callOK(ctx, st, http.MethodPost, "/v1/internal/snapshot", env)
 		r.g.stages.Observe("gateway.replication_push", time.Since(pushStart))
 		if err != nil {
 			r.g.countReplication(0, err)
@@ -230,13 +203,13 @@ func (r *replicator) replicate(id string, holders []*nodeState) {
 
 // fetchEnvelope retrieves a release's replication envelope from the first
 // holder that can serve it, verifying the framed identity.
-func (r *replicator) fetchEnvelope(id string, holders []*nodeState) ([]byte, error) {
+func (r *replicator) fetchEnvelope(ctx context.Context, id string, holders []*nodeState) ([]byte, error) {
 	var lastErr error
 	for _, st := range holders {
 		if !st.alive.Load() {
 			continue
 		}
-		env, err := r.internalRoundTrip(st, http.MethodGet, "/v1/internal/snapshot/"+id, nil)
+		env, err := r.g.mem.callOK(ctx, st, http.MethodGet, "/v1/internal/snapshot/"+id, nil)
 		if err != nil {
 			lastErr = err
 			continue
@@ -256,51 +229,4 @@ func (r *replicator) fetchEnvelope(id string, holders []*nodeState) ([]byte, err
 		lastErr = fmt.Errorf("cluster: no live holder for %s", id)
 	}
 	return nil, lastErr
-}
-
-// ship installs an envelope on one target node.
-func (r *replicator) ship(id string, st *nodeState, env []byte) error {
-	_, err := r.internalRoundTrip(st, http.MethodPost, "/v1/internal/snapshot", env)
-	return err
-}
-
-// internalRoundTrip performs one authenticated internal-endpoint exchange
-// and returns the response body; non-2xx statuses are errors.
-func (r *replicator) internalRoundTrip(st *nodeState, method, path string, body []byte) ([]byte, error) {
-	st.inflight.Add(1)
-	defer st.inflight.Add(-1)
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, st.node.URL+path, rd)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Authorization", "Bearer "+r.g.token)
-	if body != nil {
-		req.Header.Set("Content-Type", "application/octet-stream")
-	}
-	resp, err := r.g.hc.Do(req)
-	if err != nil {
-		r.g.mem.markDown(st)
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		return nil, fmt.Errorf("%s %s on %s: %d: %s", method, path, st.node.ID, resp.StatusCode, truncateBody(data))
-	}
-	return data, nil
-}
-
-func truncateBody(b []byte) string {
-	const max = 200
-	if len(b) > max {
-		b = b[:max]
-	}
-	return string(b)
 }

@@ -155,3 +155,29 @@ func TestContextPlumbing(t *testing.T) {
 		t.Fatal("trace lost in context")
 	}
 }
+
+// TestHasBearer: only the exact configured token passes, and an empty
+// token passes nothing — not even an empty Bearer credential.
+func TestHasBearer(t *testing.T) {
+	for _, tc := range []struct {
+		header, token string
+		want          bool
+	}{
+		{"Bearer s3cret", "s3cret", true},
+		{"Bearer s3cret", "other", false},
+		{"Bearer s3cre", "s3cret", false},
+		{"bearer s3cret", "s3cret", false},
+		{"s3cret", "s3cret", false},
+		{"", "s3cret", false},
+		{"Bearer ", "", false},
+		{"", "", false},
+	} {
+		r, _ := http.NewRequest(http.MethodGet, "/", nil)
+		if tc.header != "" {
+			r.Header.Set("Authorization", tc.header)
+		}
+		if got := HasBearer(r, tc.token); got != tc.want {
+			t.Errorf("HasBearer(%q, token %q) = %v, want %v", tc.header, tc.token, got, tc.want)
+		}
+	}
+}

@@ -30,11 +30,17 @@ func PprofHandler(token string) http.Handler {
 			http.Error(w, "profiling disabled", http.StatusForbidden)
 			return
 		}
-		got, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-		if !ok || subtle.ConstantTimeCompare([]byte(got), []byte(token)) != 1 {
+		if !HasBearer(r, token) {
 			http.Error(w, "forbidden", http.StatusForbidden)
 			return
 		}
 		mux.ServeHTTP(w, r)
 	})
+}
+
+// HasBearer reports whether r carries "Authorization: Bearer <token>",
+// comparing the token in constant time. An empty token matches nothing.
+func HasBearer(r *http.Request, token string) bool {
+	got, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
+	return ok && token != "" && subtle.ConstantTimeCompare([]byte(got), []byte(token)) == 1
 }

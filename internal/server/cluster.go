@@ -14,12 +14,10 @@
 package server
 
 import (
-	"crypto/subtle"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -37,9 +35,7 @@ func (s *Server) requireCluster(h http.HandlerFunc) http.HandlerFunc {
 				fmt.Errorf("cluster endpoints are disabled: the server runs without a cluster token"), nil)
 			return
 		}
-		auth := r.Header.Get("Authorization")
-		token, ok := strings.CutPrefix(auth, "Bearer ")
-		if !ok || subtle.ConstantTimeCompare([]byte(token), []byte(s.clusterToken)) != 1 {
+		if !obs.HasBearer(r, s.clusterToken) {
 			edge.WriteErr(w, http.StatusForbidden, api.CodeForbidden,
 				fmt.Errorf("missing or wrong cluster token"), nil)
 			return
