@@ -82,6 +82,9 @@ func (r *Release) Estimate(q Query) (float64, error) {
 		// has no place to put the per-cell results.
 		return 0, fmt.Errorf("anon: grouped queries are executed by the batch engine, not Estimate")
 	}
+	// Every spelling of a query gives the same bits, as on the serving
+	// layer's indexed path.
+	q = query.Canonical(q)
 	switch {
 	case r.ECs != nil:
 		return query.EstimateGeneralized(r.Schema, r.ECs, q), nil

@@ -7,7 +7,6 @@ import (
 	"repro/internal/burel"
 	"repro/internal/census"
 	"repro/internal/dist"
-	"repro/internal/experiments"
 	"repro/internal/hilbert"
 	"repro/internal/likeness"
 	"repro/internal/metrics"
@@ -17,162 +16,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/sabre"
 )
-
-// benchConfig scales the experiment benchmarks: paper trends at a size that
-// keeps one iteration around a second. experiments.Paper() is the
-// paper-scale configuration.
-func benchConfig() experiments.Config {
-	c := experiments.Quick()
-	c.N = 20000
-	c.Queries = 200
-	return c
-}
-
-// ---- One benchmark per paper table/figure ----
-
-func BenchmarkFig4a(b *testing.B) {
-	c := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig4a(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig4b(b *testing.B) {
-	c := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig4b(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig4c(b *testing.B) {
-	c := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig4c(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig5(b *testing.B) {
-	c := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig5(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig6(b *testing.B) {
-	c := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig6(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig7(b *testing.B) {
-	c := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig7(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig8a(b *testing.B) {
-	c := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig8a(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig8b(b *testing.B) {
-	c := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig8b(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig8c(b *testing.B) {
-	c := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig8c(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig8d(b *testing.B) {
-	c := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig8d(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig9a(b *testing.B) {
-	c := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig9a(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig9b(b *testing.B) {
-	c := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig9b(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig9c(b *testing.B) {
-	c := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig9c(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig9d(b *testing.B) {
-	c := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig9d(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable7(b *testing.B) {
-	c := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table7(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigNB(b *testing.B) {
-	c := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.FigNB(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // ---- Component benchmarks: the individual algorithms at 100K scale ----
 

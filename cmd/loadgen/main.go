@@ -3,7 +3,7 @@
 // p99, max) per endpoint, so both the batch endpoint's speedup over
 // single-query round-trips and the tail behavior under load are
 // measurable from the command line. With -json the same numbers are
-// written as a machine-readable report (the BENCH_*.json format).
+// written as a machine-readable report.
 //
 // It is built entirely on the typed Go SDK (repro/pkg/client): releases
 // are created with typed anon params, the build is awaited through
@@ -357,9 +357,8 @@ type report struct {
 }
 
 // reportMeta is run provenance, quarantined under one key so report
-// consumers (benchdiff, CI baselines) can compare the measurement fields
-// structurally and drop "meta" wholesale instead of special-casing each
-// timestamp-shaped field.
+// consumers can compare the measurement fields structurally and drop
+// "meta" wholesale instead of special-casing each timestamp-shaped field.
 type reportMeta struct {
 	GeneratedAt string `json:"generated_at"`
 }

@@ -4,7 +4,7 @@ package cluster_test
 // 10k-EC release planted on every node of a 3-node cluster, queried
 // through the gateway's scatter/gather path versus one node directly.
 // Caches are disabled throughout so the numbers measure routing and
-// estimator fan-out, not memoization. BENCH_5.json records a run.
+// estimator fan-out, not memoization.
 
 import (
 	"bytes"

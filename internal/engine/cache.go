@@ -32,26 +32,20 @@ type cacheEntry struct {
 	val float64
 }
 
-// newResultCache sizes a cache holding ~total entries across the given
-// number of shards (rounded up to a power of two, minimum 1 entry per
-// shard). total ≤ 0 returns nil: a nil *resultCache is a valid always-miss
-// cache, so a disabled cache costs no branches beyond the nil checks.
-func newResultCache(total, shards int) *resultCache {
+// cacheShards is the shard count, a power of two so that a key's shard is
+// its hash masked.
+const cacheShards = 16
+
+// newResultCache sizes a cache holding ~total entries across its shards
+// (at least 1 entry per shard). total ≤ 0 returns nil: a nil *resultCache
+// is a valid always-miss cache, so a disabled cache costs no branches
+// beyond the nil checks.
+func newResultCache(total int) *resultCache {
 	if total <= 0 {
 		return nil
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	perShard := (total + n - 1) / n
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &resultCache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
+	perShard := (total + cacheShards - 1) / cacheShards
+	c := &resultCache{shards: make([]cacheShard, cacheShards), mask: cacheShards - 1}
 	for i := range c.shards {
 		c.shards[i] = cacheShard{
 			cap: perShard,

@@ -54,26 +54,22 @@ type Options struct {
 	// CacheCapacity is the total result-cache entry budget across all
 	// shards. 0 selects DefaultCacheCapacity; negative disables caching.
 	CacheCapacity int
-	// CacheShards is the shard count (rounded up to a power of two);
-	// ≤ 0 selects DefaultCacheShards.
-	CacheShards int
 	// MaxBatch caps the queries accepted per Execute call; ≤ 0 selects
 	// DefaultMaxBatch.
 	MaxBatch int
-	// MaxUnits caps the scalar estimations one batch may expand to after
-	// GROUP BY queries are unfolded into their cells; ≤ 0 selects
-	// DefaultMaxUnits. It bounds the work a batch of grouped queries can
-	// demand the same way MaxBatch bounds its length.
-	MaxUnits int
 }
 
 // Defaults for Options fields left zero.
 const (
 	DefaultCacheCapacity = 1 << 16
-	DefaultCacheShards   = 16
 	DefaultMaxBatch      = 256
-	DefaultMaxUnits      = 8192
 )
+
+// maxUnits caps the scalar estimations one batch may expand to after
+// GROUP BY queries are unfolded into their cells. It bounds the work a
+// batch of grouped queries can demand the same way MaxBatch bounds its
+// length.
+const maxUnits = 8192
 
 // Result is the outcome of one query of a batch.
 type Result struct {
@@ -81,15 +77,15 @@ type Result struct {
 	// negative for perturbed releases; the reconstruction estimator is
 	// unbiased, not non-negative). Zero for grouped queries, whose
 	// estimates live in Groups.
-	Estimate float64 `json:"estimate"`
+	Estimate float64
 	// Cached reports that the estimate was served from the result cache
 	// (or computed once for an identical earlier query in the same
 	// batch) rather than estimated for this entry. For a grouped query
 	// it reports that every cell was served that way.
-	Cached bool `json:"cached,omitempty"`
+	Cached bool
 	// Groups holds the per-cell results of a GROUP BY query, dim-major
 	// in GroupBy order; nil for ungrouped queries.
-	Groups []GroupResult `json:"groups,omitempty"`
+	Groups []GroupResult
 }
 
 // GroupResult is one cell of a grouped query's answer: the cell's key
@@ -99,10 +95,10 @@ type GroupResult struct {
 	// half-open [Lo, Hi) on numeric dimensions (the dimension's last
 	// cell closes at the domain maximum), inclusive leaf-rank ranges on
 	// categorical ones.
-	Lo []float64 `json:"lo"`
-	Hi []float64 `json:"hi"`
+	Lo []float64
+	Hi []float64
 	// Estimate is the cell's aggregate estimate.
-	Estimate float64 `json:"estimate"`
+	Estimate float64
 }
 
 // Stats is a snapshot of the engine's counters.
@@ -125,7 +121,6 @@ type Stats struct {
 // serves every release of the store it fronts.
 type Engine struct {
 	maxBatch int
-	maxUnits int
 	cache    *resultCache
 
 	jobs chan job
@@ -175,23 +170,14 @@ func New(opts Options) *Engine {
 	if capacity == 0 {
 		capacity = DefaultCacheCapacity
 	}
-	shards := opts.CacheShards
-	if shards <= 0 {
-		shards = DefaultCacheShards
-	}
 	maxBatch := opts.MaxBatch
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
-	maxUnits := opts.MaxUnits
-	if maxUnits <= 0 {
-		maxUnits = DefaultMaxUnits
-	}
 	stages := obs.NewLabeledHistograms()
 	e := &Engine{
 		maxBatch:   maxBatch,
-		maxUnits:   maxUnits,
-		cache:      newResultCache(capacity, shards),
+		cache:      newResultCache(capacity),
 		jobs:       make(chan job, 4*workers),
 		stages:     stages,
 		hQueueWait: stages.Get("engine.queue_wait"),
@@ -326,8 +312,8 @@ func (e *Engine) Execute(ctx context.Context, releaseID string, snap *release.Sn
 			refs = append(refs, unitRef{qi: i, cell: ci})
 		}
 	}
-	if len(units) > e.maxUnits {
-		return nil, fmt.Errorf("%w: batch expands to %d scalar estimations (group cells included) > limit %d", ErrBatchTooLarge, len(units), e.maxUnits)
+	if len(units) > maxUnits {
+		return nil, fmt.Errorf("%w: batch expands to %d scalar estimations (group cells included) > limit %d", ErrBatchTooLarge, len(units), maxUnits)
 	}
 
 	setUnit := func(r unitRef, est float64, cached bool) {

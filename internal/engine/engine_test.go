@@ -265,14 +265,16 @@ func TestGroupByCSE(t *testing.T) {
 	}
 }
 
-// TestMaxUnitsGuard: a batch whose GROUP BY expansion exceeds MaxUnits
+// TestMaxUnitsGuard: a batch whose GROUP BY expansion exceeds maxUnits
 // must fail with ErrBatchTooLarge even though the batch length is fine.
 func TestMaxUnitsGuard(t *testing.T) {
 	snap, _ := syntheticSnapshot(100, 20)
-	e := New(Options{Workers: 1, MaxUnits: 4})
+	e := New(Options{Workers: 1})
 	defer e.Close()
-	q := query.Query{SALo: 0, SAHi: 9, GroupBy: []int{2}} // 16 default buckets > 4 units
-	if _, err := e.Execute(context.Background(), "r-000001", snap, []query.Query{q}); !errors.Is(err, ErrBatchTooLarge) {
+	// Nine 32×32-cell GROUP BY queries expand to 9,216 units > 8,192.
+	q := query.Query{SALo: 0, SAHi: 9, GroupBy: []int{0, 2}, GroupBuckets: []int{32, 32}}
+	qs := []query.Query{q, q, q, q, q, q, q, q, q}
+	if _, err := e.Execute(context.Background(), "r-000001", snap, qs); !errors.Is(err, ErrBatchTooLarge) {
 		t.Fatalf("oversized expansion: %v", err)
 	}
 }
@@ -358,7 +360,7 @@ func TestCacheDisabled(t *testing.T) {
 // count bounded and the answers correct.
 func TestCacheEviction(t *testing.T) {
 	snap, schema := syntheticSnapshot(500, 15)
-	e := New(Options{Workers: 2, CacheCapacity: 32, CacheShards: 4})
+	e := New(Options{Workers: 2, CacheCapacity: 32})
 	defer e.Close()
 	qs := genQueries(t, schema, 200, 16)
 	if _, err := e.Execute(context.Background(), "r-000001", snap, qs[:100]); err != nil {
@@ -378,6 +380,56 @@ func TestCacheEviction(t *testing.T) {
 		want, _ := snap.Estimate(qs[190+i])
 		if math.Abs(r.Estimate-want) != 0 {
 			t.Fatalf("post-eviction query %d: %v want %v", i, r.Estimate, want)
+		}
+	}
+}
+
+// TestPermutedTwinColdMatchesCached: listing a query's predicates in
+// another order keys the same cache entry, so a warm engine serves the
+// twin the original's bits. A cold engine (a replica that has not seen
+// the original) must estimate the twin to those same bits, or an answer
+// would depend on which spelling the serving replica cached first.
+func TestPermutedTwinColdMatchesCached(t *testing.T) {
+	schema := census.Schema()
+	snap := release.SyntheticSnapshot(schema, 20000, rand.New(rand.NewSource(1)))
+	gen, err := query.NewGenerator(schema, 3, 0.1, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perms := [][]int{{0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	qs, twins := make([]query.Query, 250), make([]query.Query, 250)
+	for i := range qs {
+		qs[i] = gen.Next()
+		twins[i] = qs[i]
+		twins[i].Dims, twins[i].Lo, twins[i].Hi = nil, nil, nil
+		for _, j := range perms[i%len(perms)] {
+			twins[i].Dims = append(twins[i].Dims, qs[i].Dims[j])
+			twins[i].Lo = append(twins[i].Lo, qs[i].Lo[j])
+			twins[i].Hi = append(twins[i].Hi, qs[i].Hi[j])
+		}
+	}
+	ctx := context.Background()
+	warm := New(Options{Workers: 2})
+	defer warm.Close()
+	if _, err := warm.Execute(ctx, "r-000001", snap, qs); err != nil {
+		t.Fatal(err)
+	}
+	served, err := warm.Execute(ctx, "r-000001", snap, twins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := New(Options{Workers: 2})
+	defer cold.Close()
+	fresh, err := cold.Execute(ctx, "r-000001", snap, twins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range twins {
+		if !served[i].Cached {
+			t.Fatalf("twin %d (dims %v) missed the cache entry of %v", i, twins[i].Dims, qs[i].Dims)
+		}
+		if math.Float64bits(fresh[i].Estimate) != math.Float64bits(served[i].Estimate) {
+			t.Fatalf("twin %d (dims %v): cold %v, cached %v", i, twins[i].Dims, fresh[i].Estimate, served[i].Estimate)
 		}
 	}
 }

@@ -24,7 +24,7 @@ import (
 func TestConcurrentStoreAndCache(t *testing.T) {
 	store := release.NewStore(2)
 	defer store.Close()
-	e := New(Options{Workers: 4, CacheCapacity: 1024, CacheShards: 4})
+	e := New(Options{Workers: 4, CacheCapacity: 1024})
 	defer e.Close()
 
 	// Three synthetic ready releases with identical schemas but different

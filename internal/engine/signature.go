@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"sort"
 	"strconv"
 
 	"repro/internal/query"
@@ -10,10 +9,9 @@ import (
 
 // signature renders the canonical cache key of one query against one
 // release. Two textually different requests that denote the same query
-// must share a key, so predicates are ordered by dimension before
-// rendering (the estimators are order-insensitive up to float rounding,
-// and the wire format lets clients list dimensions in any order), the
-// two COUNT spellings collapse to the same rendering, and bounds go
+// must share a key, so predicates are rendered in query.Canonical order
+// (the order every estimator evaluates, so twins also share their bits),
+// the two COUNT spellings collapse to the same rendering, and bounds go
 // through boundBits, which canonicalizes −0.0. Grouped queries are never
 // keyed directly — the engine expands them into per-cell scalar queries
 // first, so identical cells across a batch (or across grouped and
@@ -31,15 +29,8 @@ func signature(releaseID string, q query.Query) string {
 		buf = append(buf, '|')
 		buf = append(buf, q.Agg...)
 	}
-	if len(q.Dims) == 0 {
-		return string(buf)
-	}
-	ord := make([]int, len(q.Dims))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.Slice(ord, func(a, b int) bool { return q.Dims[ord[a]] < q.Dims[ord[b]] })
-	for _, i := range ord {
+	q = query.Canonical(q)
+	for i := range q.Dims {
 		buf = append(buf, '|')
 		buf = strconv.AppendInt(buf, int64(q.Dims[i]), 10)
 		buf = append(buf, ':')

@@ -4,8 +4,8 @@
 // utility studies for generalization (Fig. 8) and perturbation (Fig. 9),
 // the §7 privacy cross-measurement table, and the §7 Naïve Bayes figure.
 //
-// Each experiment takes a Config and returns printable series; the
-// repository-root benchmarks (bench_test.go) run them.
+// Each experiment takes a Config and returns printable series; this
+// package's tests run them with the paper's trend assertions.
 package experiments
 
 import (
@@ -58,7 +58,7 @@ func Paper() Config {
 	}
 }
 
-// Quick returns a scaled-down configuration for tests and benchmarks:
+// Quick returns a scaled-down configuration for tests:
 // 50K tuples and 800 queries keep each experiment in the low seconds while
 // preserving every qualitative trend.
 func Quick() Config {

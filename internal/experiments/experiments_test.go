@@ -6,7 +6,7 @@ import (
 )
 
 // tiny returns a config small enough for unit testing; trends are asserted
-// loosely (the Quick config is exercised by the repository benchmarks).
+// loosely.
 func tiny() Config {
 	c := Quick()
 	c.N = 20000

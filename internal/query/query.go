@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/anatomy"
@@ -88,6 +89,32 @@ type Query struct {
 	// zero entries select DefaultGroupBuckets on numeric dimensions and
 	// one cell per hierarchy leaf on categorical ones.
 	GroupBuckets []int
+}
+
+// Canonical returns q with its predicates ordered by ascending dimension.
+// The generalized estimators multiply and sum per predicate in listing
+// order, so two spellings of one query could differ in their last bits;
+// every estimator entry point and the result cache's key evaluate this
+// one order instead. A query already in order is returned as is, without
+// allocating. Dims must be distinct (Validate checks it); GroupBy keeps
+// its order, which fixes the layout of a grouped answer.
+func Canonical(q Query) Query {
+	if slices.IsSorted(q.Dims) {
+		return q
+	}
+	dims := append([]int(nil), q.Dims...)
+	lo := append([]float64(nil), q.Lo...)
+	hi := append([]float64(nil), q.Hi...)
+	// Insertion sort of the three columns together: λ is small.
+	for i := 1; i < len(dims); i++ {
+		for j := i; j > 0 && dims[j] < dims[j-1]; j-- {
+			dims[j], dims[j-1] = dims[j-1], dims[j]
+			lo[j], lo[j-1] = lo[j-1], lo[j]
+			hi[j], hi[j-1] = hi[j-1], hi[j]
+		}
+	}
+	q.Dims, q.Lo, q.Hi = dims, lo, hi
+	return q
 }
 
 // Generator produces random queries of a given shape.

@@ -3,6 +3,7 @@ package query
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/anatomy"
@@ -315,5 +316,25 @@ func TestOverlapFractionGrazing(t *testing.T) {
 		if got := OverlapFraction(schema, tc.box, tc.q); math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("%s: overlapFraction = %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestCanonical: predicates come back ascending by dimension with their
+// bounds, the input is left as it was, and a query already in order is
+// returned without allocating.
+func TestCanonical(t *testing.T) {
+	q := Query{Dims: []int{3, 0, 2}, Lo: []float64{30, 0, 20}, Hi: []float64{31, 1, 21}, SALo: 1, SAHi: 2, Agg: AggSum, GroupBy: []int{4, 1}}
+	c := Canonical(q)
+	if !slices.Equal(c.Dims, []int{0, 2, 3}) || !slices.Equal(c.Lo, []float64{0, 20, 30}) || !slices.Equal(c.Hi, []float64{1, 21, 31}) {
+		t.Fatalf("canonical predicates %v %v %v", c.Dims, c.Lo, c.Hi)
+	}
+	if c.SALo != 1 || c.SAHi != 2 || c.Agg != AggSum || !slices.Equal(c.GroupBy, []int{4, 1}) {
+		t.Fatalf("canonical form changed more than the predicate order: %+v", c)
+	}
+	if !slices.Equal(q.Dims, []int{3, 0, 2}) || !slices.Equal(q.Lo, []float64{30, 0, 20}) {
+		t.Fatalf("input mutated: %v %v", q.Dims, q.Lo)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c = Canonical(c) }); allocs != 0 {
+		t.Fatalf("canonical query allocates %v times", allocs)
 	}
 }

@@ -251,14 +251,6 @@ func (m *markSet) reset(n, passes int) {
 	}
 }
 
-func (m *markSet) visit(id int32) bool {
-	if m.mark[id] == m.epoch {
-		return false
-	}
-	m.mark[id] = m.epoch
-	return true
-}
-
 // Scratch is reusable per-caller estimator state: the candidate-dedup
 // mark set that Estimate otherwise borrows from an internal pool. A
 // long-lived worker (the batch engine of internal/engine) owns one

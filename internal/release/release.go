@@ -243,35 +243,33 @@ func (s *Snapshot) AIL() float64 {
 	return 0
 }
 
-// Estimate answers one COUNT(*) query against the release using the
+// Estimate answers one aggregate query against the release using the
 // estimator matching its kind: the indexed intersection estimator for
 // generalized releases, per-group intersection for ℓ-diverse Anatomy,
 // distribution scaling for the Baseline, and PM⁻¹ reconstruction for
 // perturbed releases.
 func (s *Snapshot) Estimate(q query.Query) (float64, error) {
-	return s.EstimateWith(q, nil)
-}
-
-// EstimateWith answers like Estimate but lets the caller supply reusable
-// scratch state for the indexed estimator. A nil scratch falls back to
-// the index's internal pool; kinds other than generalized ignore it.
-func (s *Snapshot) EstimateWith(q query.Query, sc *Scratch) (float64, error) {
 	if err := s.ValidateQuery(q); err != nil {
 		return 0, err
 	}
-	return s.EstimateUnchecked(q, sc)
+	return s.EstimateUnchecked(q, nil)
 }
 
 // EstimateUnchecked answers without re-running ValidateQuery: the entry
 // point for batch executors that validate a whole batch up front. The
 // caller must have validated q against this snapshot — a malformed query
-// may panic an estimator.
+// may panic an estimator. sc is reusable scratch state for the indexed
+// estimator; nil falls back to the index's internal pool, and kinds other
+// than generalized ignore it. The query is estimated in its canonical
+// predicate order (query.Canonical), so every spelling of it gives the
+// same bits.
 func (s *Snapshot) EstimateUnchecked(q query.Query, sc *Scratch) (float64, error) {
 	if len(q.GroupBy) != 0 {
 		// Grouped queries are expanded into per-cell scalar queries by the
 		// batch engine; a single scalar return cannot carry their results.
 		return 0, fmt.Errorf("release: grouped queries are executed by the batch engine")
 	}
+	q = query.Canonical(q)
 	switch s.Kind {
 	case KindGeneralized:
 		if sc != nil {
