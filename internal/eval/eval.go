@@ -27,6 +27,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 
 	"repro/anon"
@@ -328,12 +329,18 @@ func verifyRebuild(rebuilt *anon.Release, snap *release.Snapshot) error {
 					return mismatch(fmt.Sprintf("group %d membership", i))
 				}
 			}
+			if !reflect.DeepEqual(a.Table.Tuples, b.Table.Tuples) {
+				return mismatch("published tuples")
+			}
 		case served.Baseline != nil:
 			if rebuilt.Baseline == nil {
 				return mismatch("publication kind")
 			}
 			if !reflect.DeepEqual([]float64(rebuilt.Baseline.P), []float64(served.Baseline.P)) {
 				return mismatch("published SA distribution")
+			}
+			if !reflect.DeepEqual(rebuilt.Baseline.Table.Tuples, served.Baseline.Table.Tuples) {
+				return mismatch("published tuples")
 			}
 		default:
 			return fmt.Errorf("eval: anatomy snapshot without publication")
@@ -342,20 +349,32 @@ func verifyRebuild(rebuilt *anon.Release, snap *release.Snapshot) error {
 		if rebuilt.Perturbed == nil || rebuilt.Scheme == nil {
 			return mismatch("publication kind")
 		}
-		if served.Perturbed == nil || served.Scheme == nil || served.Scheme.Model == nil || rebuilt.Scheme.Model == nil {
-			return fmt.Errorf("eval: perturbed snapshot without table or scheme")
+		if snap.Tuples == nil || served.Scheme == nil || served.Scheme.Model == nil || rebuilt.Scheme.Model == nil {
+			return fmt.Errorf("eval: perturbed snapshot without tuples or scheme")
 		}
 		am, bm := rebuilt.Scheme.Model, served.Scheme.Model
 		if am.Beta != bm.Beta || !reflect.DeepEqual(am.P, bm.P) {
 			return mismatch("perturbation model")
 		}
-		if rebuilt.Perturbed.Len() != served.Perturbed.Len() {
+		if rebuilt.Perturbed.Len() != snap.Tuples.Len() {
 			return mismatch("perturbed table size")
 		}
-		for i := range rebuilt.Perturbed.Tuples {
-			if rebuilt.Perturbed.Tuples[i].SA != served.Perturbed.Tuples[i].SA {
-				return mismatch(fmt.Sprintf("perturbed SA value of tuple %d", i))
-			}
+		// The rebuilt snapshot lays its tuples out in canonical order. The
+		// served ones sit in that order too, unless their snapshot was
+		// written before the order existed; a copy of them is put in it,
+		// so the positional comparison tests content, not row order.
+		rs, err := release.NewSnapshot(rebuilt, 0)
+		if err != nil {
+			return err
+		}
+		qi := make([][]float64, len(snap.Tuples.QI))
+		for j := range qi {
+			qi[j] = slices.Clone(snap.Tuples.QI[j])
+		}
+		sa := slices.Clone(snap.Tuples.SA)
+		release.CanonicalizeTuples(snap.Schema, qi, sa)
+		if !reflect.DeepEqual(rs.Tuples.QI, qi) || !reflect.DeepEqual(rs.Tuples.SA, sa) {
+			return mismatch("perturbed tuples")
 		}
 	default:
 		return fmt.Errorf("eval: unknown release kind %q", snap.Kind)

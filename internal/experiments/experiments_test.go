@@ -3,6 +3,8 @@ package experiments
 import (
 	"math"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // tiny returns a config small enough for unit testing; trends are asserted
@@ -180,6 +182,42 @@ func TestFig9bTrend(t *testing.T) {
 	}
 	if bMax-bMin > 0.5*bMax {
 		t.Errorf("Baseline error varies too much with β: [%v, %v]", bMin, bMax)
+	}
+}
+
+// TestErrorSweepFigures smoke-runs the error sweeps no other test or
+// command calls: Fig. 8(a), 8(c), 8(d) (generalized releases) and 9(a),
+// 9(c), 9(d) (perturbation against the Baseline, through the
+// query.EstimatePerturbed row scan). Each must return five x values and,
+// in every series, five finite, non-negative errors. The config is
+// smaller than tiny() so the six sweeps stay cheap.
+func TestErrorSweepFigures(t *testing.T) {
+	c := tiny()
+	c.N = 5000
+	c.Queries = 100
+	for name, fig := range map[string]func(Config) (metrics.Figure, error){
+		"Fig8a": Fig8a, "Fig8c": Fig8c, "Fig8d": Fig8d,
+		"Fig9a": Fig9a, "Fig9c": Fig9c, "Fig9d": Fig9d,
+	} {
+		t.Run(name, func(t *testing.T) {
+			f, err := fig(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(f.X) != 5 || len(f.Series) == 0 {
+				t.Fatalf("%d x values and %d series, want 5 and at least 1", len(f.X), len(f.Series))
+			}
+			for _, s := range f.Series {
+				if len(s.Y) != 5 {
+					t.Fatalf("series %q has %d values, want 5", s.Label, len(s.Y))
+				}
+				for i, y := range s.Y {
+					if math.IsNaN(y) || math.IsInf(y, 0) || y < 0 {
+						t.Errorf("series %q at x=%v: error %v", s.Label, f.X[i], y)
+					}
+				}
+			}
+		})
 	}
 }
 

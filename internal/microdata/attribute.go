@@ -11,6 +11,7 @@ package microdata
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/hierarchy"
 )
@@ -83,6 +84,36 @@ func (a Attribute) Cardinality() int {
 	return a.Hierarchy.NumLeaves()
 }
 
+// Contains reports whether v is a coordinate of the attribute's domain:
+// a finite number in [Min, Max] for a numeric attribute, a leaf rank for
+// a categorical one. NaN fails every ordering comparison, so a range
+// test alone would let it in, and inside a table it would match every
+// range a query or a block's zone map tests. Cheap enough to call per
+// value of a decoded column.
+func (a *Attribute) Contains(v float64) bool {
+	switch a.Kind {
+	case Numeric:
+		return v >= a.Min && v <= a.Max && !math.IsInf(v, 0)
+	case Categorical:
+		r := int(v)
+		return float64(r) == v && r >= 0 && r < a.Hierarchy.NumLeaves()
+	}
+	return true
+}
+
+// CheckValue is Contains as an error naming the attribute and the value.
+// Table.Append and the snapshot decoder's column check both apply it, so
+// CSV ingestion, snapshot decode and Table.Validate share one gate.
+func (a Attribute) CheckValue(v float64) error {
+	if a.Contains(v) {
+		return nil
+	}
+	if a.Kind == Numeric {
+		return fmt.Errorf("microdata: %s=%v outside [%v,%v]", a.Name, v, a.Min, a.Max)
+	}
+	return fmt.Errorf("microdata: %s rank %v invalid", a.Name, v)
+}
+
 // Validate checks internal consistency.
 func (a Attribute) Validate() error {
 	if a.Name == "" {
@@ -111,6 +142,14 @@ func (a Attribute) Validate() error {
 type SensitiveAttr struct {
 	Name   string
 	Values []string
+}
+
+// CheckIndex reports whether sa is a value index of the domain.
+func (s SensitiveAttr) CheckIndex(sa int) error {
+	if sa < 0 || sa >= len(s.Values) {
+		return fmt.Errorf("microdata: SA index %d outside domain of size %d", sa, len(s.Values))
+	}
+	return nil
 }
 
 // Index returns the index of the given SA value and true, or 0 and false.

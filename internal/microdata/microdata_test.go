@@ -301,6 +301,25 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
+// TestReadCSVRejectsNonFinite: strconv.ParseFloat accepts "NaN" and
+// "Inf", and NaN fails every ordering comparison, so a plain range check
+// let it in; inside the table it would match every range predicate.
+// Table.Append, the gate CSV ingestion shares with snapshot decode,
+// refuses non-finite numeric values by name.
+func TestReadCSVRejectsNonFinite(t *testing.T) {
+	s := testSchema(t)
+	for _, v := range []string{"NaN", "nan", "+Inf", "-Inf"} {
+		in := "age,cat,disease\n5,a,flu\n" + v + ",a,flu\n"
+		if _, err := ReadCSV(strings.NewReader(in), s); err == nil {
+			t.Errorf("ReadCSV accepted age %s", v)
+		}
+	}
+	tab := NewTable(s)
+	if err := tab.Append(Tuple{QI: []float64{math.NaN(), 0}, SA: 0}); err == nil {
+		t.Error("Append accepted a NaN age")
+	}
+}
+
 func TestWriteGeneralizedCSV(t *testing.T) {
 	tb := NewTable(testSchema(t))
 	tb.MustAppend(Tuple{QI: []float64{10, 0}, SA: 0})

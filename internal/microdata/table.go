@@ -38,21 +38,12 @@ func (t *Table) Append(tp Tuple) error {
 		return fmt.Errorf("microdata: tuple has %d QI values, schema has %d", len(tp.QI), len(t.Schema.QI))
 	}
 	for i, a := range t.Schema.QI {
-		v := tp.QI[i]
-		switch a.Kind {
-		case Numeric:
-			if v < a.Min || v > a.Max {
-				return fmt.Errorf("microdata: %s=%v outside [%v,%v]", a.Name, v, a.Min, a.Max)
-			}
-		case Categorical:
-			r := int(v)
-			if float64(r) != v || r < 0 || r >= a.Hierarchy.NumLeaves() {
-				return fmt.Errorf("microdata: %s rank %v invalid", a.Name, v)
-			}
+		if err := a.CheckValue(tp.QI[i]); err != nil {
+			return err
 		}
 	}
-	if tp.SA < 0 || tp.SA >= len(t.Schema.SA.Values) {
-		return fmt.Errorf("microdata: SA index %d outside domain of size %d", tp.SA, len(t.Schema.SA.Values))
+	if err := t.Schema.SA.CheckIndex(tp.SA); err != nil {
+		return err
 	}
 	t.Tuples = append(t.Tuples, tp)
 	return nil

@@ -556,6 +556,10 @@ func OverlapFraction(schema *microdata.Schema, box microdata.Box, q Query) float
 // positive reconstructed mass as the support test — reconstruction noise
 // can push a value's count negative, and negative mass is no evidence of
 // presence.
+//
+// This row scan is the reference the serving layer's block path
+// (internal/release) is tested against; both hand their observed counts
+// to ReconstructAgg.
 func EstimatePerturbed(perturbed *microdata.Table, s *perturb.Scheme, q Query) (float64, error) {
 	observed := make([]int, len(perturbed.Schema.SA.Values))
 	for _, tp := range perturbed.Tuples {
@@ -563,6 +567,15 @@ func EstimatePerturbed(perturbed *microdata.Table, s *perturb.Scheme, q Query) (
 			observed[tp.SA]++
 		}
 	}
+	return ReconstructAgg(s, observed, q)
+}
+
+// ReconstructAgg answers q from the observed perturbed SA counts of the
+// tuples matching its QI predicates: N′ = PM⁻¹·E′, then the aggregate
+// folded over the SA range. It is the one fold of every perturbed
+// estimator; the counts are integers, so any path that counts the same
+// tuples gets the same bits.
+func ReconstructAgg(s *perturb.Scheme, observed []int, q Query) (float64, error) {
 	n, err := s.Reconstruct(observed)
 	if err != nil {
 		return 0, err

@@ -1,11 +1,13 @@
 package release
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/anon"
 	"repro/internal/hierarchy"
 	"repro/internal/microdata"
 	"repro/internal/query"
@@ -137,6 +139,156 @@ func FuzzEstimateEquivalence(f *testing.F) {
 				q.Hi = append(q.Hi, hi)
 			}
 			check(q, "all-dims")
+		}
+	})
+}
+
+// FuzzPerturbedBlocks differentially fuzzes the perturbed block path
+// against the row scan it replaces: for random schemas, tables of 4–600
+// rows (several blocks and a partial last one) and queries, both the
+// owner-built and the decoded snapshot must answer every aggregate with
+// exactly the bits of query.EstimatePerturbed over the method's own
+// table. perfbench's referee recomputes served answers through the block
+// path itself, so this is the check that catches a skipping bug. Queries
+// snap their bounds to block zone maps and to single tuple values, to
+// reach the inside, disjoint and grazing branches random floats miss.
+func FuzzPerturbedBlocks(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint16(8), uint8(4))
+	f.Add(int64(2), uint8(2), uint16(130), uint8(2))
+	f.Add(int64(3), uint8(3), uint16(600), uint8(4))
+	f.Add(int64(4), uint8(4), uint16(257), uint8(8))
+	f.Add(int64(-7), uint8(2), uint16(64), uint8(1))
+
+	f.Fuzz(func(t *testing.T, seed int64, dimByte uint8, rowWord uint16, betaByte uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		nd := 1 + int(dimByte)%4
+		nRows := 4 + int(rowWord)%597
+		schema := fuzzSchema(nd, rng)
+		tab := fuzzTable(schema, nRows, rng)
+		params := anon.NewPerturbParams(anon.PerturbBeta(1+float64(betaByte%8)), anon.PerturbSeed(seed))
+		rel, err := anon.Anonymize(context.Background(), tab, params)
+		if err != nil {
+			return // a table perturb.NewScheme cannot calibrate
+		}
+		owner, err := NewSnapshot(rel, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := EncodeSnapshot(owner, Spec{Method: anon.MethodPerturb, Params: params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, _, err := DecodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		aggs := []query.Aggregate{query.AggCount, query.AggSum, query.AggAvg, query.AggMin, query.AggMax}
+		check := func(q query.Query, origin string) {
+			t.Helper()
+			for _, agg := range aggs {
+				q.Agg = agg
+				want, err := query.EstimatePerturbed(rel.Perturbed, rel.Scheme, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, snap := range map[string]*Snapshot{"owner": owner, "decoded": decoded} {
+					got, err := snap.Estimate(q)
+					if err != nil {
+						t.Fatalf("%s query %+v: %v", origin, q, err)
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s %s query %+v: blocks %v != row scan %v (%d dims, %d rows)",
+							name, origin, q, got, want, nd, nRows)
+					}
+				}
+			}
+		}
+		// bounds makes a valid predicate bound pair from raw values.
+		bounds := func(d int, lo, hi float64) (float64, float64) {
+			if schema.QI[d].Kind == microdata.Categorical {
+				lo, hi = math.Trunc(lo), math.Trunc(hi)
+			}
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			return lo, hi
+		}
+		saRange := func() (int, int) {
+			m := len(schema.SA.Values)
+			lo := rng.Intn(m)
+			return lo, lo + rng.Intn(m-lo)
+		}
+
+		for lambda := 0; lambda <= nd; lambda++ {
+			gen, err := query.NewGenerator(schema, lambda, 0.01+0.6*rng.Float64(), rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				check(gen.Next(), "generated")
+			}
+		}
+
+		// Bounds on a block's zone map: its exact extent (inside), an edge
+		// point, a range grazing either edge, and a range just past it.
+		tb := owner.Tuples
+		nb := (tb.Len() + blockRows - 1) / blockRows
+		for i := 0; i < 12; i++ {
+			b := rng.Intn(nb)
+			q := query.Query{}
+			q.SALo, q.SAHi = saRange()
+			for d := 0; d < nd; d++ {
+				if rng.Intn(2) == 0 && d != nd-1 {
+					continue
+				}
+				zlo, zhi := tb.zlo[b*nd+d], tb.zhi[b*nd+d]
+				var lo, hi float64
+				switch rng.Intn(6) {
+				case 0:
+					lo, hi = zlo, zhi
+				case 1:
+					lo, hi = zlo, zlo
+				case 2:
+					lo, hi = zhi, zhi+1
+				case 3:
+					lo, hi = zlo-1, zlo
+				case 4:
+					lo, hi = zhi+1, zhi+2
+				default:
+					lo, hi = zlo+0.5*(zhi-zlo), zhi+1
+				}
+				lo, hi = bounds(d, lo, hi)
+				q.Dims = append(q.Dims, d)
+				q.Lo = append(q.Lo, lo)
+				q.Hi = append(q.Hi, hi)
+			}
+			check(q, "zone")
+		}
+
+		// Point and one-sided bounds on single tuple values.
+		for i := 0; i < 8; i++ {
+			tp := rel.Perturbed.Tuples[rng.Intn(rel.Perturbed.Len())]
+			q := query.Query{}
+			q.SALo, q.SAHi = saRange()
+			for d := 0; d < nd; d++ {
+				if rng.Intn(2) == 0 {
+					continue
+				}
+				v := tp.QI[d]
+				lo, hi := v, v
+				switch rng.Intn(3) {
+				case 1:
+					lo = v - 3
+				case 2:
+					hi = v + 3
+				}
+				lo, hi = bounds(d, lo, hi)
+				q.Dims = append(q.Dims, d)
+				q.Lo = append(q.Lo, lo)
+				q.Hi = append(q.Hi, hi)
+			}
+			check(q, "tuple")
 		}
 	})
 }

@@ -167,25 +167,33 @@ type Meta struct {
 }
 
 // Snapshot is the immutable queryable payload of a ready release: the
-// anon.Release produced by the method, plus the serving-side index for
-// generalized payloads. All fields are read-only after build; Estimate is
-// safe for concurrent use.
+// anon.Release produced by the method, plus the serving-side layout its
+// estimator reads — the grid index of a generalized release, the tuple
+// blocks of a perturbed one. All fields are read-only after build;
+// Estimate is safe for concurrent use.
 type Snapshot struct {
 	Kind   Kind
 	Schema *microdata.Schema
 
 	// Release is the method output backing this snapshot (the published
-	// ECs of a generalized release live in Release.ECs).
+	// ECs of a generalized release live in Release.ECs). For a perturbed
+	// release it holds the header and the scheme only: Release.Perturbed
+	// is nil, because Tuples is the one copy of the published tuples.
 	Release *anon.Release
 
 	// Index is the serving-side grid index over a generalized release's
 	// EC bounding boxes.
 	Index *ECIndex
+
+	// Tuples is the block layout of a perturbed release's tuples.
+	Tuples *TupleBlocks
 }
 
 // NewSnapshot wraps a method's release in its serving form, building the
-// grid index for generalized payloads. gridCells overrides the index's
-// per-dimension resolution (0 = auto).
+// grid index for generalized payloads and the canonical tuple blocks for
+// perturbed ones. gridCells overrides the index's per-dimension
+// resolution (0 = auto). A perturbed release is not modified: the
+// snapshot copies its header and builds the blocks from its table.
 func NewSnapshot(rel *anon.Release, gridCells int) (*Snapshot, error) {
 	if rel == nil || rel.Schema == nil {
 		return nil, fmt.Errorf("release: nil release")
@@ -199,6 +207,14 @@ func NewSnapshot(rel *anon.Release, gridCells int) (*Snapshot, error) {
 		s.Kind = KindAnatomy
 	case rel.Perturbed != nil && rel.Scheme != nil:
 		s.Kind = KindPerturbed
+		tb, err := tableBlocks(rel.Perturbed)
+		if err != nil {
+			return nil, err
+		}
+		s.Tuples = tb
+		header := *rel
+		header.Perturbed = nil
+		s.Release = &header
 	default:
 		return nil, fmt.Errorf("release: method %q produced no queryable payload", rel.Method)
 	}
@@ -246,8 +262,8 @@ func (s *Snapshot) AIL() float64 {
 // Estimate answers one aggregate query against the release using the
 // estimator matching its kind: the indexed intersection estimator for
 // generalized releases, per-group intersection for ℓ-diverse Anatomy,
-// distribution scaling for the Baseline, and PM⁻¹ reconstruction for
-// perturbed releases.
+// distribution scaling for the Baseline, and PM⁻¹ reconstruction over
+// the tuple blocks for perturbed releases.
 func (s *Snapshot) Estimate(q query.Query) (float64, error) {
 	if err := s.ValidateQuery(q); err != nil {
 		return 0, err
@@ -282,7 +298,7 @@ func (s *Snapshot) EstimateUnchecked(q query.Query, sc *Scratch) (float64, error
 		}
 		return query.EstimateBaseline(s.Release.Baseline, q)
 	case KindPerturbed:
-		return query.EstimatePerturbed(s.Release.Perturbed, s.Release.Scheme, q)
+		return s.Tuples.Estimate(s.Release.Scheme, q)
 	}
 	return 0, fmt.Errorf("release: kind %q is not queryable", s.Kind)
 }

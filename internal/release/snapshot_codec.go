@@ -252,13 +252,17 @@ func encodePayload(snap *Snapshot) (*snapPayload, []byte, error) {
 		default:
 			return nil, nil, fmt.Errorf("release: anatomy snapshot without publication")
 		}
+		c, err := tableColumns(tab)
+		if err != nil {
+			return nil, nil, err
+		}
 		columns = append(columns, binFlagTuples)
-		if columns, err = appendTupleColumns(columns, tab, len(snap.Schema.QI)); err != nil {
+		if columns, err = appendTupleColumns(columns, c.qi, c.sa); err != nil {
 			return nil, nil, err
 		}
 	case KindPerturbed:
-		if rel.Perturbed == nil || rel.Scheme == nil || rel.Scheme.Model == nil {
-			return nil, nil, fmt.Errorf("release: perturbed snapshot without table or scheme")
+		if snap.Tuples == nil || rel.Scheme == nil || rel.Scheme.Model == nil {
+			return nil, nil, fmt.Errorf("release: perturbed snapshot without tuples or scheme")
 		}
 		m := rel.Scheme.Model
 		p.Model = &snapModel{
@@ -267,8 +271,11 @@ func encodePayload(snap *Snapshot) (*snapPayload, []byte, error) {
 			BoundNegative: m.BoundNegative,
 			P:             m.P,
 		}
+		if len(snap.Tuples.QI) != len(snap.Schema.QI) {
+			return nil, nil, fmt.Errorf("release: tuple blocks span %d dims, schema has %d", len(snap.Tuples.QI), len(snap.Schema.QI))
+		}
 		columns = append(columns, binFlagTuples)
-		if columns, err = appendTupleColumns(columns, rel.Perturbed, len(snap.Schema.QI)); err != nil {
+		if columns, err = appendTupleColumns(columns, snap.Tuples.QI, snap.Tuples.SA); err != nil {
 			return nil, nil, err
 		}
 	default:
@@ -328,32 +335,27 @@ func appendECColumns(out []byte, ecs []microdata.PublishedEC, d, m int) ([]byte,
 	return out, nil
 }
 
-// appendTupleColumns serializes a table body column-major.
-func appendTupleColumns(out []byte, t *microdata.Table, d int) ([]byte, error) {
-	r := t.Len()
-	if int64(r) > math.MaxInt32 {
-		return nil, fmt.Errorf("release: %d rows exceed the snapshot format's u32 count", r)
-	}
+// appendTupleColumns serializes a table body held as QI columns plus an
+// SA column, in the order given.
+func appendTupleColumns(out []byte, qi [][]float64, sa []int32) ([]byte, error) {
+	r := len(sa)
 	out = binary.LittleEndian.AppendUint32(out, uint32(r))
-	out = binary.LittleEndian.AppendUint32(out, uint32(d))
-	for i := range t.Tuples {
-		if len(t.Tuples[i].QI) != d {
-			return nil, fmt.Errorf("release: tuple %d spans %d dims, schema has %d", i, len(t.Tuples[i].QI), d)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(qi)))
+	for j, col := range qi {
+		if len(col) != r {
+			return nil, fmt.Errorf("release: QI column %d has %d rows, SA column %d", j, len(col), r)
 		}
-	}
-	for j := 0; j < d; j++ {
 		out = binary.LittleEndian.AppendUint32(out, uint32(r))
-		for i := range t.Tuples {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(t.Tuples[i].QI[j]))
+		for _, v := range col {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 		}
 	}
 	out = binary.LittleEndian.AppendUint32(out, uint32(r))
-	for i := range t.Tuples {
-		sa := t.Tuples[i].SA
-		if sa < 0 || int64(sa) > math.MaxInt32 {
-			return nil, fmt.Errorf("release: tuple %d SA index %d does not fit the u32 wire type", i, sa)
+	for i, v := range sa {
+		if v < 0 {
+			return nil, fmt.Errorf("release: tuple %d SA index %d does not fit the u32 wire type", i, v)
 		}
-		out = binary.LittleEndian.AppendUint32(out, uint32(sa))
+		out = binary.LittleEndian.AppendUint32(out, uint32(v))
 	}
 	return out, nil
 }
@@ -372,15 +374,6 @@ func encodeSchema(s *microdata.Schema) snapSchema {
 			sa.Hierarchy = a.Hierarchy.String()
 		}
 		out.QI[i] = sa
-	}
-	return out
-}
-
-func encodeTuples(t *microdata.Table) *snapTuples {
-	out := &snapTuples{QI: make([][]float64, len(t.Tuples)), SA: make([]int, len(t.Tuples))}
-	for i, tp := range t.Tuples {
-		out.QI[i] = tp.QI
-		out.SA[i] = tp.SA
 	}
 	return out
 }
@@ -434,14 +427,19 @@ func DecodeSnapshot(data []byte) (*Snapshot, Spec, error) {
 
 	// Version ≥3 carries the row data only in the binary section: a payload
 	// JSON that also smuggles ecs/tuples would leave two sources of truth,
-	// so it is rejected rather than silently preferring one.
+	// so it is rejected rather than silently preferring one. Older
+	// versions' JSON tuples are brought into the same column form.
 	var binECs []microdata.PublishedEC
-	var binTuples *snapTuples
+	var tuples *tupleCols
 	if v >= 3 {
 		if payload.ECs != nil || payload.Tuples != nil {
 			return nil, Spec{}, corrupt("version %d payload JSON carries row data that belongs in the binary section", v)
 		}
-		if binECs, binTuples, err = decodeColumns(sections[3], schema); err != nil {
+		if binECs, tuples, err = decodeColumns(sections[3], schema); err != nil {
+			return nil, Spec{}, err
+		}
+	} else if payload.Tuples != nil {
+		if tuples, err = jsonTupleColumns(payload.Tuples, len(schema.QI)); err != nil {
 			return nil, Spec{}, err
 		}
 	}
@@ -452,7 +450,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, Spec, error) {
 	case KindGeneralized:
 		var ecs []microdata.PublishedEC
 		if v >= 3 {
-			if binTuples != nil {
+			if tuples != nil {
 				return nil, Spec{}, corrupt("generalized snapshot carries a tuple block")
 			}
 			if binECs == nil {
@@ -467,23 +465,17 @@ func DecodeSnapshot(data []byte) (*Snapshot, Spec, error) {
 		rel.ECs = ecs
 		snap.Index = BuildIndex(schema, ecs, spec.GridCells)
 	case KindAnatomy:
-		if v >= 3 {
-			if binECs != nil {
-				return nil, Spec{}, corrupt("anatomy snapshot carries an EC block")
-			}
-			payload.Tuples = binTuples
+		if binECs != nil {
+			return nil, Spec{}, corrupt("anatomy snapshot carries an EC block")
 		}
-		if err := decodeAnatomy(&payload, schema, rel); err != nil {
+		if err := decodeAnatomy(&payload, tuples, schema, rel); err != nil {
 			return nil, Spec{}, err
 		}
 	case KindPerturbed:
-		if v >= 3 {
-			if binECs != nil {
-				return nil, Spec{}, corrupt("perturbed snapshot carries an EC block")
-			}
-			payload.Tuples = binTuples
+		if binECs != nil {
+			return nil, Spec{}, corrupt("perturbed snapshot carries an EC block")
 		}
-		if err := decodePerturbed(&payload, schema, rel); err != nil {
+		if snap.Tuples, err = decodePerturbed(&payload, tuples, schema, rel); err != nil {
 			return nil, Spec{}, err
 		}
 	default:
@@ -538,7 +530,7 @@ func (r *colReader) f64col(dst []float64, start, stride, n int, what string) err
 // u32col reads one length-prefixed u32 column of n elements into dst
 // contiguously. Elements above MaxInt32 are corrupt (they could not have
 // been written by the encoder's range checks).
-func (r *colReader) u32col(dst []int, n int, what string) error {
+func u32col[T int | int32](r *colReader, dst []T, n int, what string) error {
 	c, err := r.u32(what + " length")
 	if err != nil {
 		return err
@@ -556,7 +548,7 @@ func (r *colReader) u32col(dst []int, n int, what string) error {
 		if int32(v) < 0 {
 			return corrupt("binary %s element %d = %d overflows int32", what, i, v)
 		}
-		dst[i] = int(v)
+		dst[i] = T(v)
 	}
 	r.off = off
 	return nil
@@ -565,7 +557,7 @@ func (r *colReader) u32col(dst []int, n int, what string) error {
 // decodeColumns parses the version-3 binary section into whichever row
 // blocks its flags declare. The section must be consumed exactly: bytes
 // past the declared blocks mean a splice, not padding.
-func decodeColumns(bin []byte, schema *microdata.Schema) ([]microdata.PublishedEC, *snapTuples, error) {
+func decodeColumns(bin []byte, schema *microdata.Schema) ([]microdata.PublishedEC, *tupleCols, error) {
 	if len(bin) == 0 {
 		return nil, nil, corrupt("binary section is empty")
 	}
@@ -575,7 +567,7 @@ func decodeColumns(bin []byte, schema *microdata.Schema) ([]microdata.PublishedE
 	}
 	r := &colReader{data: bin, off: 1}
 	var ecs []microdata.PublishedEC
-	var tuples *snapTuples
+	var tuples *tupleCols
 	var err error
 	if flags&binFlagECs != 0 {
 		if ecs, err = readECColumns(r, schema); err != nil {
@@ -636,11 +628,11 @@ func readECColumns(r *colReader, schema *microdata.Schema) ([]microdata.Publishe
 		}
 	}
 	sizes := make([]int, n)
-	if err := r.u32col(sizes, n, "sizes column"); err != nil {
+	if err := u32col(r, sizes, n, "sizes column"); err != nil {
 		return nil, err
 	}
 	countsArena := make([]int, n*m)
-	if err := r.u32col(countsArena, n*m, "SA counts"); err != nil {
+	if err := u32col(r, countsArena, n*m, "SA counts"); err != nil {
 		return nil, err
 	}
 
@@ -674,10 +666,8 @@ func readECColumns(r *colReader, schema *microdata.Schema) ([]microdata.Publishe
 	return out, nil
 }
 
-// readTupleColumns rebuilds a table body from its columnar form into the
-// row-major snapTuples shape decodeTable consumes, so the JSON (v1/v2)
-// and binary (v3) paths share one validation and table-rebuild routine.
-func readTupleColumns(r *colReader, schema *microdata.Schema) (*snapTuples, error) {
+// readTupleColumns reads a tuple block into columns, in stored order.
+func readTupleColumns(r *colReader, schema *microdata.Schema) (*tupleCols, error) {
 	rows, err := r.u32("row count")
 	if err != nil {
 		return nil, err
@@ -693,21 +683,58 @@ func readTupleColumns(r *colReader, schema *microdata.Schema) (*snapTuples, erro
 	if rem := int64(len(r.data) - r.off); need > rem {
 		return nil, corrupt("tuple block claims %d rows needing %d bytes, %d remain", rows, need, rem)
 	}
-	qiArena := make([]float64, rows*d)
-	for j := 0; j < d; j++ {
-		if err := r.f64col(qiArena, j, d, rows, fmt.Sprintf("QI column %d", j)); err != nil {
+	out := newTupleCols(rows, d)
+	for j, col := range out.qi {
+		if err := r.f64col(col, 0, 1, rows, fmt.Sprintf("QI column %d", j)); err != nil {
 			return nil, err
 		}
 	}
-	sa := make([]int, rows)
-	if err := r.u32col(sa, rows, "SA column"); err != nil {
+	if err := u32col(r, out.sa, rows, "SA column"); err != nil {
 		return nil, err
 	}
-	out := &snapTuples{QI: make([][]float64, rows), SA: sa}
-	for i := range out.QI {
-		out.QI[i] = qiArena[i*d : (i+1)*d : (i+1)*d]
+	return out, nil
+}
+
+// jsonTupleColumns brings a version 1/2 JSON table body into column form.
+func jsonTupleColumns(in *snapTuples, d int) (*tupleCols, error) {
+	if len(in.QI) != len(in.SA) {
+		return nil, corrupt("tuple columns disagree: %d QI rows, %d SA rows", len(in.QI), len(in.SA))
+	}
+	out := newTupleCols(len(in.SA), d)
+	for i, row := range in.QI {
+		if len(row) != d {
+			return nil, corrupt("tuple %d spans %d dims, schema has %d", i, len(row), d)
+		}
+		for j, v := range row {
+			out.qi[j][i] = v
+		}
+		sa := in.SA[i]
+		if sa < 0 || int64(sa) > math.MaxInt32 {
+			return nil, corrupt("tuple %d SA index %d overflows int32", i, sa)
+		}
+		out.sa[i] = int32(sa)
 	}
 	return out, nil
+}
+
+// check validates every column value with the checks Table.Append makes
+// (Attribute.CheckValue, SensitiveAttr.CheckIndex), one column at a time,
+// without building a tuple.
+func (c *tupleCols) check(schema *microdata.Schema) error {
+	for j, col := range c.qi {
+		a := &schema.QI[j]
+		for i, v := range col {
+			if !a.Contains(v) {
+				return corrupt("tuple %d: %v", i, a.CheckValue(v))
+			}
+		}
+	}
+	for i, v := range c.sa {
+		if err := schema.SA.CheckIndex(int(v)); err != nil {
+			return corrupt("tuple %d: %v", i, err)
+		}
+	}
+	return nil
 }
 
 func decodeSchema(s snapSchema) (*microdata.Schema, error) {
@@ -770,25 +797,28 @@ func decodeECs(in []snapEC, schema *microdata.Schema) ([]microdata.PublishedEC, 
 // decodeTable rebuilds a table through Table.Append, which re-validates
 // every tuple against the schema: a corrupt body fails here instead of
 // panicking an estimator later.
-func decodeTable(in *snapTuples, schema *microdata.Schema) (*microdata.Table, error) {
+func decodeTable(in *tupleCols, schema *microdata.Schema) (*microdata.Table, error) {
 	if in == nil {
 		return nil, corrupt("payload is missing its tuples")
 	}
-	if len(in.QI) != len(in.SA) {
-		return nil, corrupt("tuple columns disagree: %d QI rows, %d SA rows", len(in.QI), len(in.SA))
-	}
+	rows, d := len(in.sa), len(in.qi)
+	arena := make([]float64, rows*d)
 	t := microdata.NewTable(schema)
-	t.Tuples = make([]microdata.Tuple, 0, len(in.QI))
-	for i := range in.QI {
-		if err := t.Append(microdata.Tuple{QI: in.QI[i], SA: in.SA[i]}); err != nil {
+	t.Tuples = make([]microdata.Tuple, 0, rows)
+	for i := range in.sa {
+		qi := arena[i*d : (i+1)*d : (i+1)*d]
+		for j, col := range in.qi {
+			qi[j] = col[i]
+		}
+		if err := t.Append(microdata.Tuple{QI: qi, SA: int(in.sa[i])}); err != nil {
 			return nil, corrupt("tuple %d: %v", i, err)
 		}
 	}
 	return t, nil
 }
 
-func decodeAnatomy(p *snapPayload, schema *microdata.Schema, rel *anon.Release) error {
-	t, err := decodeTable(p.Tuples, schema)
+func decodeAnatomy(p *snapPayload, tuples *tupleCols, schema *microdata.Schema, rel *anon.Release) error {
+	t, err := decodeTable(tuples, schema)
 	if err != nil {
 		return err
 	}
@@ -857,25 +887,30 @@ func decodeAnatomy(p *snapPayload, schema *microdata.Schema, rel *anon.Release) 
 	return nil
 }
 
-func decodePerturbed(p *snapPayload, schema *microdata.Schema, rel *anon.Release) error {
-	t, err := decodeTable(p.Tuples, schema)
-	if err != nil {
-		return err
+// decodePerturbed rebuilds a perturbed release's scheme and its tuple
+// blocks. The columns keep their stored order — only the build orders
+// rows — and the block summaries are derived from them.
+func decodePerturbed(p *snapPayload, tuples *tupleCols, schema *microdata.Schema, rel *anon.Release) (*TupleBlocks, error) {
+	if tuples == nil {
+		return nil, corrupt("payload is missing its tuples")
+	}
+	if err := tuples.check(schema); err != nil {
+		return nil, err
 	}
 	if p.Model == nil {
-		return corrupt("perturbed payload without model")
+		return nil, corrupt("perturbed payload without model")
 	}
 	m := len(schema.SA.Values)
 	if len(p.Model.P) != m {
-		return corrupt("model P has %d entries, domain %d", len(p.Model.P), m)
+		return nil, corrupt("model P has %d entries, domain %d", len(p.Model.P), m)
 	}
 	for i, v := range p.Model.P {
 		if !isFinite(v) || v < 0 || v > 1 {
-			return corrupt("model P[%d] = %v", i, v)
+			return nil, corrupt("model P[%d] = %v", i, v)
 		}
 	}
 	if !(p.Model.Beta > 0) || !isFinite(p.Model.Beta) {
-		return corrupt("model β = %v", p.Model.Beta)
+		return nil, corrupt("model β = %v", p.Model.Beta)
 	}
 	var variant likeness.Variant
 	switch p.Model.Variant {
@@ -884,7 +919,7 @@ func decodePerturbed(p *snapPayload, schema *microdata.Schema, rel *anon.Release
 	case "basic":
 		variant = likeness.Basic
 	default:
-		return corrupt("unknown model variant %q", p.Model.Variant)
+		return nil, corrupt("unknown model variant %q", p.Model.Variant)
 	}
 	model := &likeness.Model{
 		Beta:          p.Model.Beta,
@@ -894,11 +929,10 @@ func decodePerturbed(p *snapPayload, schema *microdata.Schema, rel *anon.Release
 	}
 	scheme, err := perturb.NewSchemeFromModel(model, m)
 	if err != nil {
-		return corrupt("rebuilding perturbation scheme: %v", err)
+		return nil, corrupt("rebuilding perturbation scheme: %v", err)
 	}
-	rel.Perturbed = t
 	rel.Scheme = scheme
-	return nil
+	return newTupleBlocks(m, tuples.qi, tuples.sa), nil
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

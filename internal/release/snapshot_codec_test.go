@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -121,18 +122,25 @@ func codecFixtures(t testing.TB) map[string]struct {
 		spec: Spec{Method: anon.MethodAnatomy, Params: anon.NewAnatomyParams(anon.AnatomyL(2), anon.AnatomySeed(5))},
 	}
 
-	pert, err := anon.Anonymize(context.Background(), codecTable(schema), anon.NewPerturbParams(anon.PerturbBeta(2), anon.PerturbSeed(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	out["perturb"] = struct {
 		snap *Snapshot
 		spec Spec
 	}{
-		snap: mustSnapshot(t, pert, 0),
+		snap: mustSnapshot(t, codecPerturbRelease(t, schema), 0),
 		spec: Spec{Method: anon.MethodPerturb, Params: anon.NewPerturbParams(anon.PerturbBeta(2), anon.PerturbSeed(5))},
 	}
 	return out
+}
+
+// codecPerturbRelease is the perturb fixture's release as the method
+// returns it, its table in anonymizer order: the row-scan reference.
+func codecPerturbRelease(t testing.TB, schema *microdata.Schema) *anon.Release {
+	t.Helper()
+	rel, err := anon.Anonymize(context.Background(), codecTable(schema), anon.NewPerturbParams(anon.PerturbBeta(2), anon.PerturbSeed(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel
 }
 
 func mustSnapshot(t testing.TB, rel *anon.Release, gridCells int) *Snapshot {
@@ -414,6 +422,79 @@ func TestSnapshotDecodeV2Fixtures(t *testing.T) {
 	}
 	if seen != len(fixtures) {
 		t.Fatalf("found %d frozen v2 fixtures, want one per codec fixture (%d)", seen, len(fixtures))
+	}
+}
+
+// TestSnapshotDecodeV3Fixtures decodes testdata/v3/perturb.snap, the
+// perturb golden as the encoder wrote it before perturbed snapshots were
+// laid out in canonical order: its tuples sit in anonymizer order. Decode
+// never reorders, so the file keeps that order, answers every codec query
+// with the bits of the row-scan reference (it only skips fewer blocks),
+// and re-encodes to itself. Like testdata/v2, it is never regenerated.
+func TestSnapshotDecodeV3Fixtures(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "v3", "perturb.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, spec, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatalf("frozen v3 snapshot no longer decodes: %v", err)
+	}
+	rel := codecPerturbRelease(t, codecSchema())
+	c, err := tableColumns(rel.Perturbed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qi, sa := c.qi, c.sa
+	if !reflect.DeepEqual(snap.Tuples.QI, qi) || !reflect.DeepEqual(snap.Tuples.SA, sa) {
+		t.Fatal("decode reordered the frozen snapshot's tuples")
+	}
+	for i, q := range codecQueries() {
+		want, err := query.EstimatePerturbed(rel.Perturbed, rel.Scheme, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := snap.Estimate(q)
+		if err != nil {
+			t.Fatalf("query %d against frozen v3 decode: %v", i, err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("query %d: frozen v3 decode answers %v, row scan %v", i, got, want)
+		}
+	}
+	again, err := EncodeSnapshot(snap, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatal("frozen v3 snapshot does not re-encode to itself")
+	}
+}
+
+// TestSnapshotDecodeRejectsNonFiniteQI: a NaN or infinite QI value was
+// never in its attribute's domain, so a stored tuple block holding one is
+// corrupt. Both decoders of tuple blocks, the perturbed kind's column
+// check and the anatomy kinds' Table.Append, refuse it.
+func TestSnapshotDecodeRejectsNonFiniteQI(t *testing.T) {
+	fxs := codecFixtures(t)
+	for _, name := range []string{"perturb", "anatomy_baseline"} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+			t.Run(fmt.Sprintf("%s/%v", name, bad), func(t *testing.T) {
+				data, err := EncodeSnapshot(fxs[name].snap, fxs[name].spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// flags (1) | rows (4) | dims (4) | column 0 length (4), then
+				// row 0's value in dimension 0, the numeric age.
+				data = mangleSection(t, data, 3, func(sec []byte) []byte {
+					binary.LittleEndian.PutUint64(sec[13:], math.Float64bits(bad))
+					return sec
+				})
+				if _, _, err := DecodeSnapshot(data); !errors.Is(err, ErrCorruptSnapshot) {
+					t.Fatalf("want ErrCorruptSnapshot, got %v", err)
+				}
+			})
+		}
 	}
 }
 
@@ -801,7 +882,15 @@ func encodeSnapshotLegacy(t testing.TB, snap *Snapshot, spec Spec, version uint3
 			p.P = rel.Baseline.P
 		}
 	case KindPerturbed:
-		p.Tuples = encodeTuples(rel.Perturbed)
+		tb := snap.Tuples
+		p.Tuples = &snapTuples{QI: make([][]float64, tb.Len()), SA: make([]int, tb.Len())}
+		for i := range p.Tuples.QI {
+			p.Tuples.QI[i] = make([]float64, len(tb.QI))
+			for j, col := range tb.QI {
+				p.Tuples.QI[i][j] = col[i]
+			}
+			p.Tuples.SA[i] = int(tb.SA[i])
+		}
 		m := rel.Scheme.Model
 		p.Model = &snapModel{
 			Beta:          m.Beta,
@@ -815,4 +904,14 @@ func encodeSnapshotLegacy(t testing.TB, snap *Snapshot, spec Spec, version uint3
 		t.Fatal(err)
 	}
 	return joinSections(version, [][]byte{header, specJSON, payloadJSON})
+}
+
+// encodeTuples is the version 1/2 JSON form of a table body.
+func encodeTuples(t *microdata.Table) *snapTuples {
+	out := &snapTuples{QI: make([][]float64, len(t.Tuples)), SA: make([]int, len(t.Tuples))}
+	for i, tp := range t.Tuples {
+		out.QI[i] = tp.QI
+		out.SA[i] = tp.SA
+	}
+	return out
 }

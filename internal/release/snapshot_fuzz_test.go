@@ -29,13 +29,14 @@ func fullDomainQuery(m int) query.Query { return query.Query{SALo: 0, SAHi: m - 
 //     without panicking.
 //
 // The corpus seeds with the golden fixtures (current format under
-// testdata/, frozen version-2 files under testdata/v2/) plus targeted
+// testdata/, frozen version-2 files under testdata/v2/, the frozen
+// pre-canonical-order perturb file under testdata/v3/) plus targeted
 // damage, so the mutator starts from deep inside the format instead of
 // random noise. The binary-section seeds are resealed with a valid CRC —
 // the mutator is unlikely to discover the checksum on its own, and the
 // interesting code is behind it.
 func FuzzSnapshotRoundTrip(f *testing.F) {
-	for _, dir := range []string{"testdata", filepath.Join("testdata", "v2")} {
+	for _, dir := range []string{"testdata", filepath.Join("testdata", "v2"), filepath.Join("testdata", "v3")} {
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			f.Fatal(err)

@@ -27,7 +27,11 @@ func goldenPath(name string) string {
 //
 //	go test ./internal/release -run TestSnapshotGolden -update
 //
-// and bump SnapshotFormatVersion if decode compatibility changed.
+// and bump SnapshotFormatVersion if decode compatibility changed. A change
+// of row order with the layout unchanged (the canonical tuple order of
+// perturbed releases was one) is a regeneration, not a version bump:
+// files in the old order still decode and answer. Freeze the old bytes
+// under testdata/v<version>/ first, so that stays tested.
 func TestSnapshotGolden(t *testing.T) {
 	fixtures := codecFixtures(t)
 	names := make([]string, 0, len(fixtures))

@@ -381,8 +381,8 @@ func checkRegistrable(snap *Snapshot) error {
 			return fmt.Errorf("release: anatomy snapshot without publication")
 		}
 	case KindPerturbed:
-		if snap.Release.Perturbed == nil || snap.Release.Scheme == nil {
-			return fmt.Errorf("release: perturbed snapshot without table or scheme")
+		if snap.Tuples == nil || snap.Release.Scheme == nil {
+			return fmt.Errorf("release: perturbed snapshot without tuples or scheme")
 		}
 	default:
 		return fmt.Errorf("release: unknown kind %q", snap.Kind)
