@@ -207,8 +207,9 @@ func (e *Engine) Close() {
 	e.wg.Wait()
 }
 
-// worker estimates jobs with a pool-resident scratch: the mark array is
-// allocated once per worker and reused for every query of every batch.
+// worker estimates jobs with a worker-owned scratch: the candidate
+// bitset and buffers are allocated once per worker and reused for every
+// query of every batch.
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	sc := &release.Scratch{}

@@ -90,14 +90,34 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 	if len(b) != a.Rows {
 		return nil, fmt.Errorf("matrix: Solve rhs length %d ≠ %d", len(b), a.Rows)
 	}
-	n := a.Rows
-	// Augmented working copy.
-	w := a.Clone()
-	x := append([]float64(nil), b...)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
+	x := &Matrix{Rows: len(b), Cols: 1, Data: append([]float64(nil), b...)}
+	if err := eliminate(a, x); err != nil {
+		return nil, err
 	}
+	return x.Data, nil
+}
+
+// Inverse returns a⁻¹ by one elimination that carries all n unit columns
+// as right-hand sides: O(n³), against O(n⁴) for n Solve calls, with the
+// same bits as those calls.
+func Inverse(a *Matrix) (*Matrix, error) {
+	if a.Rows != a.Cols {
+		return nil, fmt.Errorf("matrix: Inverse needs square matrix, got %d×%d", a.Rows, a.Cols)
+	}
+	x := Identity(a.Rows)
+	if err := eliminate(a, x); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// eliminate overwrites each column of x, a right-hand side of the square
+// system a·x = x, with its solution: partial-pivot elimination on a copy
+// of a, then back substitution. Pivots depend on a alone, so every column
+// sees the float operations, in the order, it would see if solved alone.
+func eliminate(a, x *Matrix) error {
+	n, k := a.Rows, x.Cols
+	w := a.Clone()
 	for col := 0; col < n; col++ {
 		// Partial pivot.
 		p, best := col, math.Abs(w.At(col, col))
@@ -107,15 +127,18 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 			}
 		}
 		if best < 1e-300 {
-			return nil, fmt.Errorf("matrix: singular at column %d", col)
+			return fmt.Errorf("matrix: singular at column %d", col)
 		}
 		if p != col {
 			for j := 0; j < n; j++ {
 				w.Data[col*n+j], w.Data[p*n+j] = w.Data[p*n+j], w.Data[col*n+j]
 			}
-			x[col], x[p] = x[p], x[col]
+			for c := 0; c < k; c++ {
+				x.Data[col*k+c], x.Data[p*k+c] = x.Data[p*k+c], x.Data[col*k+c]
+			}
 		}
 		pivot := w.At(col, col)
+		xc := x.Data[col*k : (col+1)*k]
 		for r := col + 1; r < n; r++ {
 			factor := w.At(r, col) / pivot
 			if factor == 0 {
@@ -125,40 +148,25 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 			for j := col + 1; j < n; j++ {
 				w.Data[r*n+j] -= factor * w.Data[col*n+j]
 			}
-			x[r] -= factor * x[col]
+			xr := x.Data[r*k : (r+1)*k]
+			for c := range xr {
+				xr[c] -= factor * xc[c]
+			}
 		}
 	}
-	// Back substitution.
+	// Back substitution, a row at a time across every column.
 	for i := n - 1; i >= 0; i-- {
-		s := x[i]
+		xi := x.Data[i*k : (i+1)*k]
 		for j := i + 1; j < n; j++ {
-			s -= w.At(i, j) * x[j]
+			wij, xj := w.At(i, j), x.Data[j*k:(j+1)*k]
+			for c := range xi {
+				xi[c] -= wij * xj[c]
+			}
 		}
-		x[i] = s / w.At(i, i)
-	}
-	return x, nil
-}
-
-// Inverse returns a⁻¹ via column-wise solves.
-func Inverse(a *Matrix) (*Matrix, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("matrix: Inverse needs square matrix, got %d×%d", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	out := New(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := Solve(a, e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			out.Set(i, j, col[i])
+		d := w.At(i, i)
+		for c := range xi {
+			xi[c] /= d
 		}
 	}
-	return out, nil
+	return nil
 }

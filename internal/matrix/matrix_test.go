@@ -192,3 +192,103 @@ func TestCloneIndependent(t *testing.T) {
 		t.Fatal("Clone shares storage")
 	}
 }
+
+// solveColumns inverts a by one Solve per unit column: the reference
+// Inverse must reproduce bit for bit.
+func solveColumns(a *Matrix) (*Matrix, error) {
+	n := a.Rows
+	out := New(n, n)
+	for j := 0; j < n; j++ {
+		e := make([]float64, n)
+		e[j] = 1
+		col, err := Solve(a, e)
+		if err != nil {
+			return nil, err
+		}
+		for i := range col {
+			out.Set(i, j, col[i])
+		}
+	}
+	return out, nil
+}
+
+// pmShaped builds an m×m matrix shaped like the perturbation matrix:
+// column j holds x_j = γ_j·C on the diagonal and (1−x_j)/(m−1) elsewhere,
+// with C = 1/(max γ + m − 1). A value with γ_j below the others gets a
+// diagonal smaller than its off-diagonal entries, so pivoting swaps rows.
+func pmShaped(m int, rng *rand.Rand) *Matrix {
+	gamma := make([]float64, m)
+	gmax := 0.0
+	for j := range gamma {
+		gamma[j] = 1 + 4*rng.Float64()
+		gmax = math.Max(gmax, gamma[j])
+	}
+	c := 1 / (gmax + float64(m-1))
+	a := New(m, m)
+	for j := 0; j < m; j++ {
+		x := gamma[j] * c
+		y := (1 - x) / float64(m-1)
+		for i := 0; i < m; i++ {
+			if i == j {
+				a.Set(i, j, x)
+			} else {
+				a.Set(i, j, y)
+			}
+		}
+	}
+	return a
+}
+
+// TestInverseMatchesColumnSolves: the one-elimination Inverse gives the
+// bits of n separate Solve calls, on random matrices, on PM-shaped ones
+// up to 61×61 and on a matrix whose pivots need row swaps.
+func TestInverseMatchesColumnSolves(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var cases []*Matrix
+	for i := 0; i < 100; i++ {
+		n := 1 + rng.Intn(12)
+		a := New(n, n)
+		for k := range a.Data {
+			a.Data[k] = rng.Float64()*2 - 1
+		}
+		cases = append(cases, a)
+	}
+	for m := 2; m <= 61; m++ {
+		cases = append(cases, pmShaped(m, rng))
+	}
+	swaps := New(4, 4)
+	copy(swaps.Data, []float64{
+		0, 2, 1, 3,
+		1e-3, 0, 4, 1,
+		5, 1, 0, 2,
+		2, 7, 1, 1e-4,
+	})
+	cases = append(cases, swaps)
+	for ci, a := range cases {
+		want, werr := solveColumns(a)
+		got, gerr := Inverse(a)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("case %d (%d×%d): Solve err %v, Inverse err %v", ci, a.Rows, a.Cols, werr, gerr)
+		}
+		if werr != nil {
+			continue
+		}
+		for k := range want.Data {
+			if math.Float64bits(got.Data[k]) != math.Float64bits(want.Data[k]) {
+				t.Fatalf("case %d (%d×%d) entry (%d,%d): Inverse %v, column solves %v",
+					ci, a.Rows, a.Cols, k/a.Cols, k%a.Cols, got.Data[k], want.Data[k])
+			}
+		}
+	}
+}
+
+// BenchmarkInverse50 inverts a PM-shaped matrix over CENSUS's 50 SA
+// values, the size perturb.NewSchemeFromModel inverts.
+func BenchmarkInverse50(b *testing.B) {
+	a := pmShaped(50, rand.New(rand.NewSource(1)))
+	for b.Loop() {
+		if _, err := Inverse(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -15,15 +15,16 @@ import (
 
 // FuzzEstimateEquivalence differentially fuzzes the two generalized-release
 // estimators: for random schemas, tables, partitions, and queries, the
-// grid-indexed ECIndex.Estimate must agree with the linear scan of
-// query.EstimateGeneralized — for every aggregate — to within
-// float-rounding tolerance (MIN/MAX are discrete and must agree exactly:
-// grid pruning only drops ECs whose overlap fraction is zero, so both
-// paths see the same support set). The two implementations share only
-// OverlapFraction and the per-EC SA range primitives, so a bug in grid
-// construction, candidate pruning, the multi-pass greedy planner fold
-// (exercised by the λ>2 queries below), the value-weighted prefix sums,
-// or the SA-only prefix-sum path surfaces as a divergence.
+// grid-indexed ECIndex.Estimate must give exactly the bits of the linear
+// scan of query.EstimateGeneralized, for every aggregate. The index adds
+// its candidates' terms in ascending EC index, the order the linear scan
+// walks, and forms each term as query.OverlapFraction does, so even
+// COUNT, SUM and AVG, whose float sums depend on order, must agree to the
+// last bit. The two implementations share only the per-EC SA range
+// primitives, so a bug in the bitset directory, the candidate AND (λ>2
+// queries below fold three or more predicates), the per-EC term, the
+// value-weighted prefix sums, or the SA-only prefix-sum path surfaces as
+// a divergence.
 func FuzzEstimateEquivalence(f *testing.F) {
 	// Seed corpus spanning the structural knobs: dimension counts, mixes
 	// of numeric/categorical attributes, point boxes, tiny and larger
@@ -58,11 +59,7 @@ func FuzzEstimateEquivalence(f *testing.F) {
 				q.Agg = agg
 				want := query.EstimateGeneralized(schema, pub, q)
 				got := ix.Estimate(q)
-				tol := 1e-9 * (1 + math.Abs(want))
-				if agg == query.AggMin || agg == query.AggMax {
-					tol = 0 // discrete SA indices over the same support set
-				}
-				if math.Abs(got-want) > tol {
+				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s query %+v agg=%q: indexed %v != linear %v (schema %d dims, %d ECs, grid %d)",
 						origin, q, agg, got, want, nd, nECs, gridCells)
 				}
@@ -114,9 +111,9 @@ func FuzzEstimateEquivalence(f *testing.F) {
 		}
 
 		// λ=nd queries with one predicate per dimension, bounds snapped to
-		// a random EC's box edges: with nd ≥ 3 these drive the planner's
-		// multi-pass fold past the old two-dimension intersection, with
-		// edge coincidences random floats almost never produce.
+		// a random EC's box edges: with nd ≥ 3 these AND three or more
+		// predicates' bitsets, with edge coincidences random floats almost
+		// never produce.
 		for i := 0; i < 4 && len(pub) > 0 && nd >= 2; i++ {
 			ec := &pub[rng.Intn(len(pub))]
 			q := query.Query{SAHi: len(schema.SA.Values) - 1}

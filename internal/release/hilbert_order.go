@@ -22,10 +22,10 @@ func CanonicalizeECs(schema *microdata.Schema, ecs []microdata.PublishedEC) {
 
 // hilbertOrder permutes a published EC set in place into ascending Hilbert
 // order of its bounding-box centroids over the schema's QI domain. After
-// the remap, the IDs inside any grid cell's candidate list are runs of
-// curve-adjacent ECs, so the mark writes of the pruning passes and the
-// column reads of the verification loop land on neighbouring cache lines
-// instead of striding across the whole store.
+// the remap, a query's candidate ECs are runs of curve-adjacent IDs, so
+// their bits share words of the index's bitsets and the column reads of
+// the verification loop land on neighbouring cache lines instead of
+// striding across the whole store.
 //
 // The permutation is pure bookkeeping: every estimator answers identically
 // under any EC order (the differential fuzzer pins this), and because the
@@ -45,7 +45,7 @@ func hilbertOrder(schema *microdata.Schema, ecs []microdata.PublishedEC) {
 	//
 	// 10 bits per dimension (1024 curve positions) is already finer than
 	// the finest grid (MaxGridCells = 4096 applies per dimension, but the
-	// serving grids top out at 512 cells); more resolution would only
+	// serving grids top out at 64 cells); more resolution would only
 	// lengthen the encode's bit-interleaving loop without improving
 	// locality.
 	idxBits := bits64.Len(uint(len(ecs) - 1))

@@ -2,6 +2,7 @@ package release
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/microdata"
@@ -10,16 +11,20 @@ import (
 
 // ECIndex accelerates intersection-based aggregate estimation over a
 // published set of equivalence classes. Each QI dimension carries a
-// uniform grid of cells over the attribute domain; every cell lists the
-// IDs of the ECs whose bounding box overlaps it, flattened into one
-// contiguous per-dimension ID arena so a query range is a single
-// sequential scan. A query folds its predicate ranges from most to least
-// selective and verifies only the surviving ECs against the full
-// predicate set — the data-skipping idea of per-block summaries applied
-// to EC bounding boxes. Verification reads the columnar mirror of the EC
-// store (microdata.ECColumns) rather than the row structs: flat Lo/Hi
-// columns and SA prefix arenas, cache-local because BuildIndex first
-// remaps EC IDs into Hilbert order (see hilbertOrder).
+// uniform grid of cells over the attribute domain, and each cell two
+// cumulative EC bitsets: the ECs whose bounding box starts in that cell
+// or an earlier one, and those whose box ends in it or a later one. An
+// EC's box overlaps a predicate's cell range [c0, c1] exactly when it is
+// in both the first set of c1 and the second set of c0, so a query ANDs
+// two bitsets per predicate and reads the survivors out in ascending EC
+// index — the data-skipping idea of per-block summaries applied to EC
+// bounding boxes. Verification reads the columnar mirror of the EC store
+// (microdata.ECColumns) rather than the row structs: flat Lo/Hi columns
+// and SA prefix arenas, cache-local because BuildIndex first remaps EC
+// IDs into Hilbert order (see hilbertOrder). Ascending EC index is the
+// order the linear scan walks, and each survivor's term is formed as
+// query.OverlapFraction forms it, so every indexed answer has the linear
+// scan's bits.
 //
 // The index is immutable after Build and safe for concurrent queries.
 type ECIndex struct {
@@ -28,6 +33,7 @@ type ECIndex struct {
 	cols   *microdata.ECColumns
 	isCat  []bool
 	dims   []dimGrid
+	words  int // ⌈|ECs|/64⌉: the length of every EC bitset
 
 	// totalSA holds exclusive prefix sums of the whole release's SA
 	// counts, answering predicate-free (λ=0) COUNT queries in O(1);
@@ -38,59 +44,48 @@ type ECIndex struct {
 	scratch sync.Pool
 }
 
-func (ix *ECIndex) getMS() *markSet {
+func (ix *ECIndex) getScratch() *Scratch {
 	if v := ix.scratch.Get(); v != nil {
-		return v.(*markSet)
+		return v.(*Scratch)
 	}
-	return &markSet{}
+	return &Scratch{}
 }
 
-// dimGrid is the per-dimension cell directory: cell c's candidate IDs are
-// ids[starts[c]:starts[c+1]], so a cell range [c0,c1] is the single
-// contiguous slice ids[starts[c0]:starts[c1+1]] and its length — the
-// planner's load metric — is one subtraction.
+// dimGrid is one dimension's cell directory. Cell c's bitsets are the
+// words [c·w, (c+1)·w) of from and to, w = ECIndex.words: from holds the
+// ECs whose box starts in a cell ≤ c, to those whose box ends in a cell
+// ≥ c. Bits past the last EC are zero in every set.
 type dimGrid struct {
-	min    float64
-	invW   float64 // cells per domain unit
-	n      int     // cell count
-	starts []int32 // len n+1
-	ids    []int32
+	min      float64
+	invW     float64 // cells per domain unit
+	n        int     // cell count
+	from, to []uint64
 }
 
-// MaxGridCells caps the per-dimension grid resolution (Params.Validate
-// enforces the same bound at the API boundary).
+// MaxGridCells caps the per-dimension grid resolution a spec may request
+// (Spec.Normalize enforces it at the API boundary); BuildIndex serves at
+// most maxIndexCells of them.
 const MaxGridCells = 4096
 
-// maxAvgSpan bounds the average number of cells an EC's box may span per
-// dimension: BuildIndex coarsens a dimension's grid until the average
-// span is within this budget, so the directory holds O(dims · |ECs|)
-// entries regardless of box widths or the requested resolution — wide
-// boxes get a coarser (less selective, but never memory-hungry) grid.
-const maxAvgSpan = 4
+// maxIndexCells caps the cells BuildIndex gives a dimension: two bitsets
+// per cell then cost at most 16 B per EC per dimension.
+const maxIndexCells = 64
 
 // BuildIndex constructs the index over a published EC set. The slice is
 // retained and permuted in place into Hilbert order of box centroids
-// (estimates are unchanged under permutation; the reorder makes cell
-// candidate lists runs of nearby IDs); callers must not mutate it
-// afterwards. Each EC's SA prefix sums are built if absent so range
+// (the reorder makes a query's candidates runs of nearby IDs, and a
+// linear scan of the permuted slice adds its terms in the index's order);
+// callers must not mutate it afterwards. Each EC's SA prefix sums are built if absent so range
 // counting is O(1) on the verification path. cellsPerDim ≤ 0 selects
-// √|ECs| clamped to [16, 512], balancing directory size against pruning
-// resolution; explicit values are clamped to MaxGridCells.
+// √|ECs| clamped to [16, 64], balancing directory size against pruning
+// resolution; explicit values are capped at 64.
 func BuildIndex(schema *microdata.Schema, ecs []microdata.PublishedEC, cellsPerDim int) *ECIndex {
 	if cellsPerDim <= 0 {
-		cellsPerDim = int(math.Sqrt(float64(len(ecs))))
-		if cellsPerDim < 16 {
-			cellsPerDim = 16
-		}
-		if cellsPerDim > 512 {
-			cellsPerDim = 512
-		}
+		cellsPerDim = max(16, int(math.Sqrt(float64(len(ecs)))))
 	}
-	if cellsPerDim > MaxGridCells {
-		cellsPerDim = MaxGridCells
-	}
+	cellsPerDim = min(cellsPerDim, maxIndexCells)
 	hilbertOrder(schema, ecs)
-	ix := &ECIndex{schema: schema, ecs: ecs}
+	ix := &ECIndex{schema: schema, ecs: ecs, words: (len(ecs) + 63) / 64}
 
 	ix.totalSA = make([]int, len(schema.SA.Values)+1)
 	ix.totalSAW = make([]int64, len(schema.SA.Values)+1)
@@ -115,6 +110,7 @@ func BuildIndex(schema *microdata.Schema, ecs []microdata.PublishedEC, cellsPerD
 		ix.isCat[d] = a.Kind == microdata.Categorical
 	}
 
+	w := ix.words
 	ix.dims = make([]dimGrid, len(schema.QI))
 	for d, a := range schema.QI {
 		var lo, hi float64
@@ -123,83 +119,29 @@ func BuildIndex(schema *microdata.Schema, ecs []microdata.PublishedEC, cellsPerD
 		} else {
 			lo, hi = 0, float64(a.Hierarchy.NumLeaves()-1)
 		}
-		los, his := ix.cols.Lo[d], ix.cols.Hi[d]
-		// Coarsen until the directory for this dimension stays within the
-		// maxAvgSpan entry budget (wide boxes span proportionally fewer of
-		// a coarser grid's cells). Spans are computed arithmetically from
-		// min/invW alone — no throwaway cell directory per halving step.
-		cells := cellsPerDim
-		total := 0
-		for cells > 16 && len(ecs) > 0 {
-			invW := 0.0
-			if hi > lo {
-				invW = float64(cells) / (hi - lo)
-			}
-			total = 0
-			for i := range los {
-				total += gridSpan(lo, invW, cells, los[i], his[i])
-			}
-			if total <= maxAvgSpan*len(ecs) {
-				break
-			}
-			cells /= 2
-		}
-		g := dimGrid{min: lo, n: cells}
+		g := dimGrid{min: lo, n: cellsPerDim}
 		if hi > lo {
-			g.invW = float64(cells) / (hi - lo)
+			g.invW = float64(cellsPerDim) / (hi - lo)
 		}
-		// Counting sort into the flat arena: per-cell entry counts via a
-		// difference array, then a cursor-driven fill.
-		diff := make([]int32, cells+1)
-		for i := range los {
-			c0 := g.cell(los[i])
-			c1 := g.cell(his[i])
-			diff[c0]++
-			diff[c1+1]--
+		// One bit per EC in its start cell's from set and its end cell's
+		// to set, then prefix-OR upward through from and downward
+		// through to.
+		g.from = make([]uint64, g.n*w)
+		g.to = make([]uint64, g.n*w)
+		for i, blo := range ix.cols.Lo[d] {
+			bit := uint64(1) << (i & 63)
+			g.from[g.cell(blo)*w+(i>>6)] |= bit
+			g.to[g.cell(ix.cols.Hi[d][i])*w+(i>>6)] |= bit
 		}
-		g.starts = make([]int32, cells+1)
-		var run, sum int32
-		for c := 0; c < cells; c++ {
-			run += diff[c]
-			g.starts[c] = sum
-			sum += run
+		for k := w; k < len(g.from); k++ {
+			g.from[k] |= g.from[k-w]
 		}
-		g.starts[cells] = sum
-		g.ids = make([]int32, sum)
-		cursor := make([]int32, cells)
-		copy(cursor, g.starts[:cells])
-		for i := range los {
-			c0 := g.cell(los[i])
-			c1 := g.cell(his[i])
-			for c := c0; c <= c1; c++ {
-				g.ids[cursor[c]] = int32(i)
-				cursor[c]++
-			}
+		for k := len(g.to) - w - 1; k >= 0; k-- {
+			g.to[k] |= g.to[k+w]
 		}
 		ix.dims[d] = g
 	}
 	return ix
-}
-
-// gridSpan returns how many cells of a grid with the given origin and
-// resolution the interval [blo, bhi] occupies — the arithmetic twin of
-// cell(bhi)-cell(blo)+1 with identical clamping.
-func gridSpan(min, invW float64, n int, blo, bhi float64) int {
-	c0 := int((blo - min) * invW)
-	if c0 < 0 {
-		c0 = 0
-	}
-	if c0 >= n {
-		c0 = n - 1
-	}
-	c1 := int((bhi - min) * invW)
-	if c1 < 0 {
-		c1 = 0
-	}
-	if c1 >= n {
-		c1 = n - 1
-	}
-	return c1 - c0 + 1
 }
 
 // cell maps a coordinate to its grid cell, clamped to the domain.
@@ -214,52 +156,17 @@ func (g *dimGrid) cell(v float64) int {
 	return c
 }
 
-// markSet dedupes candidate EC IDs across the cells of a query range
-// without per-query allocation: IDs are stamped with an epoch that a reset
-// merely increments. It also carries the planner's predicate-range
-// scratch so the hot path allocates nothing.
-type markSet struct {
-	mark     []uint32
-	epoch    uint32
-	reserved uint32 // epochs the current query may consume: epoch..epoch+reserved-1
-	prs      []predRange
-	cand     []int32   // survivor buffer filled by collect
-	fracs    []float64 // per-survivor overlap fractions
-}
-
-// reset reserves `passes` consecutive epochs for one query: pass k tags
-// survivors with epoch+k−1, so a multi-pass intersection needs no
-// clearing between passes. The next reset advances past the whole
-// reservation.
-func (m *markSet) reset(n, passes int) {
-	if passes < 1 {
-		passes = 1
-	}
-	if len(m.mark) < n {
-		m.mark = make([]uint32, n)
-		m.epoch = 1
-		m.reserved = uint32(passes)
-		return
-	}
-	m.epoch += m.reserved
-	m.reserved = uint32(passes)
-	if m.epoch >= ^uint32(0)-m.reserved { // reservation would wrap: clear and restart
-		for i := range m.mark {
-			m.mark[i] = 0
-		}
-		m.epoch = 1
-	}
-}
-
-// Scratch is reusable per-caller estimator state: the candidate-dedup
-// mark set that Estimate otherwise borrows from an internal pool. A
-// long-lived worker (the batch engine of internal/engine) owns one
-// Scratch and passes it to EstimateScratch on every call, so the hot
-// path never touches the pool and the mark array is reused across
-// queries and releases of any size. The zero value is ready to use; a
-// Scratch must not be shared between concurrent calls.
+// Scratch is reusable per-caller estimator state: the candidate bitset,
+// candidate list and overlap fractions that Estimate otherwise borrows
+// from an internal pool. A long-lived worker (the batch engine of
+// internal/engine) owns one Scratch and passes it to EstimateScratch on
+// every call, so the hot path never touches the pool and the buffers are
+// reused across queries and releases of any size. The zero value is
+// ready to use; a Scratch must not be shared between concurrent calls.
 type Scratch struct {
-	ms markSet
+	acc   []uint64  // candidate bitset, ⌈|ECs|/64⌉ words
+	cand  []int32   // candidate EC indices in ascending order
+	fracs []float64 // per-candidate overlap fractions
 }
 
 // NumECs returns the number of indexed equivalence classes.
@@ -268,46 +175,17 @@ func (ix *ECIndex) NumECs() int { return len(ix.ecs) }
 // ECs returns the indexed EC slice; callers must treat it as read-only.
 func (ix *ECIndex) ECs() []microdata.PublishedEC { return ix.ecs }
 
-// predRange is one query predicate mapped onto its dimension's grid.
-type predRange struct {
-	pred   int // index into q.Dims
-	c0, c1 int
-	load   int // Σ cell list lengths over [c0, c1]; candidate-count proxy
-}
-
-// pruneDims maps every query predicate onto its grid and returns them
-// sorted by ascending load, so callers can intersect the most selective
-// dimensions first; the flat arena makes each load a prefix-sum
-// subtraction. The slice is scratch state owned by ms. Empty when the
-// query carries no QI predicates.
-func (ix *ECIndex) pruneDims(q query.Query, ms *markSet) []predRange {
-	prs := ms.prs[:0]
-	for i, d := range q.Dims {
-		g := &ix.dims[d]
-		lo, hi := g.cell(q.Lo[i]), g.cell(q.Hi[i])
-		load := int(g.starts[hi+1] - g.starts[lo])
-		prs = append(prs, predRange{pred: i, c0: lo, c1: hi, load: load})
-	}
-	// Insertion sort: λ is small and the sort must stay allocation-free.
-	for i := 1; i < len(prs); i++ {
-		for j := i; j > 0 && prs[j].load < prs[j-1].load; j-- {
-			prs[j], prs[j-1] = prs[j-1], prs[j]
-		}
-	}
-	ms.prs = prs
-	return prs
-}
-
 // Estimate answers the aggregate query with the same intersection
-// semantics as query.EstimateGeneralized, visiting only the ECs whose
-// bounding box can overlap the most selective predicate's grid range.
+// semantics, and the same bits, as query.EstimateGeneralized, visiting
+// only the ECs whose bounding box can overlap every predicate's grid
+// range.
 func (ix *ECIndex) Estimate(q query.Query) float64 {
 	if len(q.Dims) == 0 {
 		return ix.estimateSAOnly(q)
 	}
-	ms := ix.getMS()
-	est := ix.estimate(q, ms)
-	ix.scratch.Put(ms)
+	sc := ix.getScratch()
+	est := ix.estimate(q, sc)
+	ix.scratch.Put(sc)
 	return est
 }
 
@@ -317,7 +195,7 @@ func (ix *ECIndex) EstimateScratch(q query.Query, sc *Scratch) float64 {
 	if len(q.Dims) == 0 {
 		return ix.estimateSAOnly(q)
 	}
-	return ix.estimate(q, &sc.ms)
+	return ix.estimate(q, sc)
 }
 
 // estimateSAOnly answers a λ=0 query: every EC overlaps fully, so the
@@ -357,17 +235,17 @@ func (ix *ECIndex) estimateSAOnly(q query.Query) float64 {
 // flat Lo/Hi columns, so every pass streams a single column (Hilbert-
 // clustered candidate IDs keep the reads on neighbouring cache lines).
 // Per candidate the float operations and their order are exactly those of
-// query.OverlapFraction — the min/max are open-coded (the inputs are
-// validated finite, where a > b agrees with math.Max), and a fraction
-// that reaches zero is skipped by later passes just as the row form
-// returns early — so indexed and linear estimates agree to rounding of
-// their (differently ordered) sums.
-func (ix *ECIndex) overlapFracs(cand []int32, q query.Query, ms *markSet) []float64 {
-	fracs := ms.fracs[:0]
+// query.OverlapFraction — each dimension's ratio is formed first and then
+// multiplied in, the min/max are open-coded (the inputs are validated
+// finite, where a > b agrees with math.Max), and a fraction that reaches
+// zero is skipped by later passes just as the row form returns early — so
+// every term has the linear scan's bits.
+func (ix *ECIndex) overlapFracs(cand []int32, q query.Query, sc *Scratch) []float64 {
+	fracs := sc.fracs[:0]
 	for range cand {
 		fracs = append(fracs, 1)
 	}
-	ms.fracs = fracs
+	sc.fracs = fracs
 	for i, d := range q.Dims {
 		los, his := ix.cols.Lo[d], ix.cols.Hi[d]
 		qlo, qhi := q.Lo[i], q.Hi[i]
@@ -390,7 +268,7 @@ func (ix *ECIndex) overlapFracs(cand []int32, q query.Query, ms *markSet) []floa
 					fracs[j] = 0
 					continue
 				}
-				fracs[j] = f * (ohi - olo + 1) / (hi - lo + 1)
+				fracs[j] = f * ((ohi - olo + 1) / (hi - lo + 1))
 			}
 		} else {
 			for j, id := range cand {
@@ -419,18 +297,19 @@ func (ix *ECIndex) overlapFracs(cand []int32, q query.Query, ms *markSet) []floa
 					fracs[j] = 0
 					continue
 				}
-				fracs[j] = f * (ohi - olo) / (hi - lo)
+				fracs[j] = f * ((ohi - olo) / (hi - lo))
 			}
 		}
 	}
 	return fracs
 }
 
-// estimate is the λ ≥ 1 path; ms must be non-nil. The per-candidate work
-// is entirely columnar: survivors are gathered once, their box-overlap
-// fractions computed column by column, and the SA range statistics read
-// from the prefix arenas with the domain clamp hoisted out of the loop.
-func (ix *ECIndex) estimate(q query.Query, ms *markSet) float64 {
+// estimate is the λ ≥ 1 path; sc must be non-nil. The per-candidate work
+// is entirely columnar: survivors are gathered once, in ascending EC
+// index, their box-overlap fractions computed column by column, and the
+// SA range statistics read from the prefix arenas with the domain clamp
+// hoisted out of the loop. Terms are added in the linear scan's order.
+func (ix *ECIndex) estimate(q query.Query, sc *Scratch) float64 {
 	cols := ix.cols
 	salo, sahi := q.SALo, q.SAHi
 	if salo < 0 {
@@ -443,8 +322,8 @@ func (ix *ECIndex) estimate(q query.Query, ms *markSet) float64 {
 		// Empty SA range: every candidate contributes zero mass.
 		return query.FinishAgg(q.Agg, 0, 0, -1, -1)
 	}
-	cand := ix.collect(q, ms)
-	fracs := ix.overlapFracs(cand, q, ms)
+	cand := ix.collect(q, sc)
+	fracs := ix.overlapFracs(cand, q, sc)
 	stride := cols.M + 1
 	if q.Agg.IsCount() {
 		est := 0.0
@@ -486,65 +365,45 @@ func (ix *ECIndex) estimate(q query.Query, ms *markSet) float64 {
 	return query.FinishAgg(q.Agg, cnt, sum, min, max)
 }
 
-// collect gathers each distinct EC that survives grid pruning into the
-// scratch candidate buffer. The planner folds in predicates greedily by
-// ascending load (pruneDims orders them): pass 1 seeds the survivor set
-// from the most selective range, and each further pass intersects the
-// next range, advancing survivors one epoch — an EC survives only if its
-// box overlaps every folded grid range — before the exact per-box
-// verification the caller performs. Ranges spanning a dimension's whole
-// directory are skipped after the first: they contain every EC, so they
-// prune nothing and would only add their full traversal cost. Every pass
-// is one sequential scan of a contiguous ID-arena segment.
-func (ix *ECIndex) collect(q query.Query, ms *markSet) []int32 {
-	prs := ix.pruneDims(q, ms)
-	passes := prs[:1]
-	for _, pr := range prs[1:] {
-		g := &ix.dims[q.Dims[pr.pred]]
-		if pr.c0 == 0 && pr.c1 == g.n-1 {
+// candidates ANDs, into the scratch accumulator, the two bitsets of every
+// predicate — the ECs starting at or before the range's last cell and
+// ending at or after its first — leaving the ECs whose box overlaps every
+// predicate's grid range. The query must carry at least one predicate.
+// Padding bits stay zero: no set of the directory has them.
+func (ix *ECIndex) candidates(q query.Query, sc *Scratch) []uint64 {
+	w := ix.words
+	if cap(sc.acc) < w {
+		sc.acc = make([]uint64, w)
+	}
+	acc := sc.acc[:w]
+	for i, d := range q.Dims {
+		g := &ix.dims[d]
+		from := g.from[g.cell(q.Hi[i])*w:][:w]
+		to := g.to[g.cell(q.Lo[i])*w:][:w]
+		if i == 0 {
+			for k := range acc {
+				acc[k] = from[k] & to[k]
+			}
 			continue
 		}
-		passes = append(passes, pr)
-	}
-	ms.reset(len(ix.ecs), len(passes))
-	cand := ms.cand[:0]
-	a := passes[0]
-	ga := &ix.dims[q.Dims[a.pred]]
-	seg := ga.ids[ga.starts[a.c0]:ga.starts[a.c1+1]]
-	mark := ms.mark
-	if len(passes) == 1 {
-		epoch := ms.epoch
-		for _, id := range seg {
-			if mark[id] != epoch {
-				mark[id] = epoch
-				cand = append(cand, id)
-			}
-		}
-		ms.cand = cand
-		return cand
-	}
-	// Pass 1: tag everything in the most selective range with epoch.
-	for _, id := range seg {
-		mark[id] = ms.epoch
-	}
-	// Passes 2..K: an id tagged epoch+k−2 that appears in pass k's range
-	// advances to epoch+k−1; the last pass collects its survivors, the
-	// retag also deduping ids spanning several cells of that range.
-	for k := 1; k < len(passes); k++ {
-		b := passes[k]
-		gb := &ix.dims[q.Dims[b.pred]]
-		prev := ms.epoch + uint32(k-1)
-		last := k == len(passes)-1
-		for _, id := range gb.ids[gb.starts[b.c0]:gb.starts[b.c1+1]] {
-			if mark[id] == prev {
-				mark[id] = prev + 1
-				if last {
-					cand = append(cand, id)
-				}
-			}
+		for k := range acc {
+			acc[k] &= from[k] & to[k]
 		}
 	}
-	ms.cand = cand
+	return acc
+}
+
+// collect lists the candidate ECs into the scratch candidate buffer in
+// ascending EC index: the Hilbert order the linear scan walks.
+func (ix *ECIndex) collect(q query.Query, sc *Scratch) []int32 {
+	cand := sc.cand[:0]
+	for k, word := range ix.candidates(q, sc) {
+		for word != 0 {
+			cand = append(cand, int32(k<<6|bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+	}
+	sc.cand = cand
 	return cand
 }
 
@@ -555,8 +414,11 @@ func (ix *ECIndex) Candidates(q query.Query) int {
 	if len(q.Dims) == 0 {
 		return 0
 	}
-	ms := ix.getMS()
-	n := len(ix.collect(q, ms))
-	ix.scratch.Put(ms)
+	sc := ix.getScratch()
+	n := 0
+	for _, word := range ix.candidates(q, sc) {
+		n += bits.OnesCount64(word)
+	}
+	ix.scratch.Put(sc)
 	return n
 }

@@ -2,6 +2,7 @@ package release
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,8 +12,9 @@ import (
 	"repro/internal/query"
 )
 
-// TestIndexMatchesLinear: the indexed estimator must agree with the linear
-// scan on every query, across λ and θ shapes, including λ=0 (SA-only).
+// TestIndexMatchesLinear: the indexed estimator must give the linear
+// scan's bits on every query, across λ and θ shapes, including λ=0
+// (SA-only).
 func TestIndexMatchesLinear(t *testing.T) {
 	schema := census.Schema().Project(3)
 	rng := rand.New(rand.NewSource(7))
@@ -31,14 +33,14 @@ func TestIndexMatchesLinear(t *testing.T) {
 			q := gen.Next()
 			want := query.EstimateGeneralized(schema, ecs, q)
 			got := ix.Estimate(q)
-			if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
+			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("λ=%d θ=%v query %d: indexed %v != linear %v", shape.lambda, shape.theta, i, got, want)
 			}
 		}
 	}
 }
 
-// TestIndexMatchesLinearOnBurel repeats the agreement check on a real
+// TestIndexMatchesLinearOnBurel repeats the bit-equality check on a real
 // BUREL release, whose boxes are correlated rather than uniform.
 func TestIndexMatchesLinearOnBurel(t *testing.T) {
 	tab := census.Generate(census.Options{N: 3000, Seed: 5}).Project(3)
@@ -58,7 +60,7 @@ func TestIndexMatchesLinearOnBurel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
+		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("query %d: indexed %v != linear %v", i, got, want)
 		}
 	}
@@ -112,8 +114,9 @@ func TestQueryValidation(t *testing.T) {
 }
 
 // TestIndexWideBoxes: ECs spanning most of the domain must neither blow
-// up the directory (the grid coarsens to keep ~O(|ECs|) entries per
-// dimension) nor break agreement with the linear estimator.
+// up the directory (the requested 4096 cells are capped at 64, so a
+// dimension costs at most 16 B per EC plus one padding word per cell and
+// set) nor break bit equality with the linear estimator.
 func TestIndexWideBoxes(t *testing.T) {
 	schema := census.Schema().Project(3)
 	rng := rand.New(rand.NewSource(13))
@@ -124,12 +127,7 @@ func TestIndexWideBoxes(t *testing.T) {
 		lo := make([]float64, len(schema.QI))
 		hi := make([]float64, len(schema.QI))
 		for d, a := range schema.QI {
-			var dlo, dhi float64
-			if a.Kind == microdata.Numeric {
-				dlo, dhi = a.Min, a.Max
-			} else {
-				dlo, dhi = 0, float64(a.Hierarchy.NumLeaves()-1)
-			}
+			dlo, dhi := domain(a)
 			w := (dhi - dlo) * (0.5 + 0.4*rng.Float64()) // 50-90% of the domain
 			c := dlo + rng.Float64()*(dhi-dlo-w)
 			lo[d], hi[d] = c, c+w
@@ -140,11 +138,9 @@ func TestIndexWideBoxes(t *testing.T) {
 	}
 	ix := BuildIndex(schema, ecs, MaxGridCells)
 	for d := range ix.dims {
-		entries := len(ix.dims[d].ids)
-		// At the 16-cell floor a 90%-wide box spans ≤ 16 cells; the
-		// budget bounds well under the requested 4096-cell blowup.
-		if entries > 16*n {
-			t.Fatalf("dim %d holds %d entries for %d ECs; coarsening failed", d, entries, n)
+		g := &ix.dims[d]
+		if bytes := 8 * (len(g.from) + len(g.to)); bytes > 16*(n+63) {
+			t.Fatalf("dim %d directory holds %d B for %d ECs (%d cells); want ≤ 16 B per EC", d, bytes, n, g.n)
 		}
 	}
 	gen, err := query.NewGenerator(schema, 2, 0.05, rng)
@@ -154,10 +150,119 @@ func TestIndexWideBoxes(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		q := gen.Next()
 		want := query.EstimateGeneralized(schema, ecs, q)
-		if got := ix.Estimate(q); math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
+		if got := ix.Estimate(q); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("query %d: indexed %v != linear %v", i, got, want)
 		}
 	}
+}
+
+// domain returns the range a QI attribute's box bounds live in: the
+// numeric domain, or the leaf ranks of a categorical hierarchy.
+func domain(a microdata.Attribute) (lo, hi float64) {
+	if a.Kind == microdata.Numeric {
+		return a.Min, a.Max
+	}
+	return 0, float64(a.Hierarchy.NumLeaves() - 1)
+}
+
+// TestIndexDirectoryBitsets checks every cell's two bitsets against the
+// sets they stand for, computed EC by EC: from[c] must hold exactly the
+// ECs whose box starts in a cell ≤ c, to[c] exactly those whose box ends
+// in a cell ≥ c, and no set may carry a bit past the last EC. It runs on
+// a BUREL release and on synthetic point, wide and cell-edge-aligned
+// boxes, at EC counts that fill their last word and counts that do not.
+func TestIndexDirectoryBitsets(t *testing.T) {
+	schema := census.Schema().Project(3)
+	tab := census.Generate(census.Options{N: 3000, Seed: 5}).Project(3)
+	snap, err := build(context.Background(), tab, burelSpec(4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]*ECIndex{"burel": snap.Index}
+	for _, n := range []int{1, 63, 64, 128, 200} {
+		for _, shape := range []string{"point", "wide", "edge", "mixed"} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			ecs := shapedECs(schema, shape, n, 32, rng)
+			cases[fmt.Sprintf("%s/%d", shape, n)] = BuildIndex(schema, ecs, 32)
+		}
+	}
+	for name, ix := range cases {
+		n, w := ix.NumECs(), ix.words
+		if w != (n+63)/64 {
+			t.Fatalf("%s: %d words for %d ECs", name, w, n)
+		}
+		for d := range ix.dims {
+			g := &ix.dims[d]
+			if len(g.from) != g.n*w || len(g.to) != g.n*w {
+				t.Fatalf("%s dim %d: sets of %d/%d words, want %d cells × %d", name, d, len(g.from), len(g.to), g.n, w)
+			}
+			for c := 0; c < g.n; c++ {
+				from, to := g.from[c*w:(c+1)*w], g.to[c*w:(c+1)*w]
+				for i := 0; i < w*64; i++ {
+					inFrom := from[i>>6]&(1<<(i&63)) != 0
+					inTo := to[i>>6]&(1<<(i&63)) != 0
+					if i >= n {
+						if inFrom || inTo {
+							t.Fatalf("%s dim %d cell %d: padding bit %d set", name, d, c, i)
+						}
+						continue
+					}
+					c0, c1 := g.cell(ix.cols.Lo[d][i]), g.cell(ix.cols.Hi[d][i])
+					if inFrom != (c0 <= c) {
+						t.Fatalf("%s dim %d cell %d: EC %d (cells %d..%d) in from = %v", name, d, c, i, c0, c1, inFrom)
+					}
+					if inTo != (c1 >= c) {
+						t.Fatalf("%s dim %d cell %d: EC %d (cells %d..%d) in to = %v", name, d, c, i, c0, c1, inTo)
+					}
+				}
+			}
+		}
+	}
+}
+
+// shapedECs fabricates n ECs whose boxes are points, 50-90%-wide spans,
+// or spans whose bounds sit exactly on the edges of a grid of the given
+// cell count (the domain maximum included); "mixed" draws each EC's
+// shape at random.
+func shapedECs(schema *microdata.Schema, shape string, n, cells int, rng *rand.Rand) []microdata.PublishedEC {
+	m := len(schema.SA.Values)
+	shapes := []string{"point", "wide", "edge"}
+	ecs := make([]microdata.PublishedEC, n)
+	for i := range ecs {
+		s := shape
+		if s == "mixed" {
+			s = shapes[rng.Intn(len(shapes))]
+		}
+		lo := make([]float64, len(schema.QI))
+		hi := make([]float64, len(schema.QI))
+		for d, a := range schema.QI {
+			dlo, dhi := domain(a)
+			switch s {
+			case "point":
+				v := dlo + rng.Float64()*(dhi-dlo)
+				if a.Kind == microdata.Categorical {
+					v = math.Round(v)
+				}
+				lo[d], hi[d] = v, v
+			case "wide":
+				w := (dhi - dlo) * (0.5 + 0.4*rng.Float64())
+				c := dlo + rng.Float64()*(dhi-dlo-w)
+				lo[d], hi[d] = c, c+w
+			default:
+				step := (dhi - dlo) / float64(cells)
+				c0, c1 := rng.Intn(cells+1), rng.Intn(cells+1)
+				if c0 > c1 {
+					c0, c1 = c1, c0
+				}
+				lo[d], hi[d] = dlo+float64(c0)*step, dlo+float64(c1)*step
+			}
+		}
+		size := 1 + rng.Intn(4)
+		counts := make([]int, m)
+		counts[rng.Intn(m)] = size
+		ecs[i] = microdata.PublishedEC{Box: microdata.Box{Lo: lo, Hi: hi}, SACounts: counts, Size: size}
+	}
+	return ecs
 }
 
 // permute returns q with its predicates listed in the order perm gives.

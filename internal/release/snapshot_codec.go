@@ -219,7 +219,8 @@ func EncodeSnapshot(snap *Snapshot, spec Spec) ([]byte, error) {
 
 // encodePayload projects the snapshot onto its wire payload: the JSON
 // section for small per-kind state and the binary columnar section for
-// the row data.
+// the row data. The binary section is allocated once, at its final
+// length, so the column appenders never regrow it.
 func encodePayload(snap *Snapshot) (*snapPayload, []byte, error) {
 	p := &snapPayload{Schema: encodeSchema(snap.Schema)}
 	rel := snap.Release
@@ -230,8 +231,9 @@ func encodePayload(snap *Snapshot) (*snapPayload, []byte, error) {
 		if rel.ECs == nil {
 			return nil, nil, fmt.Errorf("release: generalized snapshot without ECs")
 		}
-		columns = append(columns, binFlagECs)
-		if columns, err = appendECColumns(columns, rel.ECs, len(snap.Schema.QI), len(snap.Schema.SA.Values)); err != nil {
+		d, m := len(snap.Schema.QI), len(snap.Schema.SA.Values)
+		columns = append(make([]byte, 0, 1+ecColumnsLen(len(rel.ECs), d, m)), binFlagECs)
+		if columns, err = appendECColumns(columns, rel.ECs, d, m); err != nil {
 			return nil, nil, err
 		}
 	case KindAnatomy:
@@ -256,7 +258,7 @@ func encodePayload(snap *Snapshot) (*snapPayload, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		columns = append(columns, binFlagTuples)
+		columns = append(make([]byte, 0, 1+tupleColumnsLen(len(c.sa), len(c.qi))), binFlagTuples)
 		if columns, err = appendTupleColumns(columns, c.qi, c.sa); err != nil {
 			return nil, nil, err
 		}
@@ -274,7 +276,7 @@ func encodePayload(snap *Snapshot) (*snapPayload, []byte, error) {
 		if len(snap.Tuples.QI) != len(snap.Schema.QI) {
 			return nil, nil, fmt.Errorf("release: tuple blocks span %d dims, schema has %d", len(snap.Tuples.QI), len(snap.Schema.QI))
 		}
-		columns = append(columns, binFlagTuples)
+		columns = append(make([]byte, 0, 1+tupleColumnsLen(len(snap.Tuples.SA), len(snap.Tuples.QI))), binFlagTuples)
 		if columns, err = appendTupleColumns(columns, snap.Tuples.QI, snap.Tuples.SA); err != nil {
 			return nil, nil, err
 		}
@@ -282,6 +284,21 @@ func encodePayload(snap *Snapshot) (*snapPayload, []byte, error) {
 		return nil, nil, fmt.Errorf("release: unknown kind %q", snap.Kind)
 	}
 	return p, columns, nil
+}
+
+// ecColumnsLen is the byte length appendECColumns writes for n ECs over
+// d QI dimensions and an m-value SA domain: the three-count header, the
+// counted Lo and Hi columns of every dimension, the counted size column
+// and the counted n×m SA count column.
+func ecColumnsLen(n, d, m int) int {
+	return 12 + 2*d*(4+8*n) + (4 + 4*n) + (4 + 4*n*m)
+}
+
+// tupleColumnsLen is the byte length appendTupleColumns writes for rows
+// tuples over d QI columns: the two-count header, the counted QI columns
+// and the counted SA column.
+func tupleColumnsLen(rows, d int) int {
+	return 8 + d*(4+8*rows) + (4 + 4*rows)
 }
 
 // appendECColumns serializes the EC store into the binary columnar form.

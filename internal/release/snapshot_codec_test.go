@@ -262,6 +262,36 @@ func TestSnapshotRoundTripBuiltRelease(t *testing.T) {
 	}
 }
 
+// TestEncodePayloadExactSize: the binary column section is allocated at
+// its final length, so encoding never regrows it — on every fixture kind
+// and on built generalized and perturbed releases.
+func TestEncodePayloadExactSize(t *testing.T) {
+	snaps := map[string]*Snapshot{}
+	for name, fx := range codecFixtures(t) {
+		snaps[name] = fx.snap
+	}
+	tab := census.Generate(census.Options{N: 700, Seed: 11}).Project(3)
+	for name, params := range map[string]anon.Params{
+		"built_burel":   anon.NewBURELParams(anon.BURELBeta(4), anon.BURELSeed(3)),
+		"built_perturb": anon.NewPerturbParams(anon.PerturbBeta(4), anon.PerturbSeed(3)),
+	} {
+		snap, err := build(context.Background(), tab, Spec{Method: params.Method(), Params: params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps[name] = snap
+	}
+	for name, snap := range snaps {
+		_, columns, err := encodePayload(snap)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(columns) != cap(columns) {
+			t.Errorf("%s: column section len %d, cap %d", name, len(columns), cap(columns))
+		}
+	}
+}
+
 // TestSnapshotDecodeRejectsDamage walks the corruption taxonomy: every
 // damaged input must come back as a typed error, never a panic, never a
 // silently wrong snapshot.
