@@ -54,6 +54,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/edge"
 	"repro/internal/obs"
 	"repro/pkg/api"
 )
@@ -194,7 +195,7 @@ func (m *Membership) call(ctx context.Context, st *nodeState, method, path strin
 	resp, err := m.hc.Do(req)
 	var data []byte
 	if err == nil {
-		data, err = io.ReadAll(resp.Body)
+		data, err = edge.ReadBody(resp.Body, resp.ContentLength)
 		resp.Body.Close()
 	}
 	if err != nil {

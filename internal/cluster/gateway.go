@@ -4,10 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -303,7 +303,7 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, _ *http.Request) {
 // node only on transport errors — at worst an orphan build on a node
 // that died mid-response, never a silently dropped create.
 func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxBody))
+	body, err := edge.ReadBody(http.MaxBytesReader(w, r.Body, g.maxBody), r.ContentLength)
 	if err != nil {
 		edge.WriteBodyErr(w, fmt.Errorf("reading request: %w", err))
 		return
@@ -351,7 +351,7 @@ func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	obs.TraceFrom(r.Context()).SetRelease(id)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxBatchBody))
+	body, err := edge.ReadBody(http.MaxBytesReader(w, r.Body, g.maxBatchBody), r.ContentLength)
 	if err != nil {
 		edge.WriteBodyErr(w, fmt.Errorf("reading request: %w", err))
 		return
@@ -375,7 +375,7 @@ func (g *Gateway) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	obs.TraceFrom(r.Context()).SetRelease(id)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxBody))
+	body, err := edge.ReadBody(http.MaxBytesReader(w, r.Body, g.maxBody), r.ContentLength)
 	if err != nil {
 		edge.WriteBodyErr(w, fmt.Errorf("reading request: %w", err))
 		return
@@ -534,7 +534,7 @@ func (g *Gateway) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	for ci, oc := range outcomes {
 		if oc.bad != nil {
-			g.relay(w, oc.bad)
+			g.relayChunkErr(w, oc.bad, chunks[ci].start)
 			return
 		}
 		if oc.miss != nil {
@@ -549,6 +549,29 @@ func (g *Gateway) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 		out.CacheHits += oc.resp.CacheHits
 	}
 	edge.WriteJSON(w, http.StatusOK, out)
+}
+
+// relayChunkErr relays a sub-batch's conclusive non-2xx. A node names
+// the query it rejects by its index in the batch it was sent, so a 400
+// invalid_query from a sub-batch starting at start is restated with the
+// index into the client's batch, in details.query and in the message's
+// "query N:" prefix, as a single node would report it. Every other
+// answer is relayed verbatim.
+func (g *Gateway) relayChunkErr(w http.ResponseWriter, nr *nodeResponse, start int) {
+	var env api.Envelope
+	if start > 0 && nr.status == http.StatusBadRequest &&
+		json.Unmarshal(nr.body, &env) == nil && env.Error.Code == api.CodeInvalidQuery {
+		if idx, ok := env.Error.Details["query"].(float64); ok {
+			i := int(idx)
+			env.Error.Details["query"] = i + start
+			if rest, ok := strings.CutPrefix(env.Error.Message, fmt.Sprintf("query %d: ", i)); ok {
+				env.Error.Message = fmt.Sprintf("query %d: %s", i+start, rest)
+			}
+			edge.WriteJSON(w, nr.status, env)
+			return
+		}
+	}
+	g.relay(w, nr)
 }
 
 // chunkOutcome is one sub-batch's result: exactly one field is set — the

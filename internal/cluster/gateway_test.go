@@ -1,7 +1,9 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"math/rand"
 	"net/http"
@@ -396,5 +398,61 @@ func TestGatewayErrorEnvelopeCarriesRequestID(t *testing.T) {
 	rid := resp.Header.Get(api.HeaderRequestID)
 	if got, _ := env.Error.Details["request_id"].(string); rid == "" || got != rid {
 		t.Errorf("envelope details.request_id = %q, header %q", got, rid)
+	}
+}
+
+// TestGatewaySubBatchErrorIndex: a query a node rejects is named by its
+// index in the client's batch, not in the sub-batch the gateway sent, as
+// a single node names it. On a 3-node, R = 2 cluster a 48-query batch
+// splits into two sub-batches of 24, so query 40 is the second
+// sub-batch's query 16.
+func TestGatewaySubBatchErrorIndex(t *testing.T) {
+	nodes, _, ts := startCluster(t, 3, 2)
+	ctx := context.Background()
+	gwc := client.New(ts.URL)
+	csv, _, qs := censusCSVQs(t, 600, 31, 3, 48)
+	rel, err := gwc.CreateRelease(ctx, client.CreateSpec{
+		Method: anon.MethodBUREL, Params: anon.NewBURELParams(anon.BURELBeta(4), anon.BURELSeed(7)), QI: 3, CSV: csv,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gwc.WaitReady(ctx, rel.ID, 0); err != nil {
+		t.Fatal(err)
+	}
+	waitCondition(t, 15*time.Second, "release replicated to R nodes", func() bool {
+		return readyOn(nodes, rel.ID) >= 2
+	})
+	qs[40].Dims[0] = 7 // the schema has 3 QI dimensions
+	body, err := json.Marshal(api.BatchQueryRequest{ReleaseID: rel.ID, Queries: qs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	envelope := func(url string) api.Error {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/query:batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env api.Envelope
+		if err := jsonDecode(resp, &env); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != api.CodeInvalidQuery {
+			t.Fatalf("%s: %d %+v, want 400 %s", url, resp.StatusCode, env.Error, api.CodeInvalidQuery)
+		}
+		return env.Error
+	}
+	gw := envelope(ts.URL)
+	if !strings.HasPrefix(gw.Message, "query 40: ") || gw.Details["query"] != float64(40) {
+		t.Fatalf("gateway names the bad query as %q, details.query = %v; want query 40", gw.Message, gw.Details["query"])
+	}
+	for _, nd := range nodes {
+		if readyOn([]*testNode{nd}, rel.ID) == 0 {
+			continue
+		}
+		if node := envelope(nd.url()); node.Message != gw.Message || node.Details["query"] != gw.Details["query"] {
+			t.Fatalf("node %s reports %q (query %v), gateway %q (query %v)", nd.id, node.Message, node.Details["query"], gw.Message, gw.Details["query"])
+		}
 	}
 }

@@ -259,3 +259,52 @@ func TestLoadSeries(t *testing.T) {
 		t.Errorf("disabled sampler series %+v, want an empty list", s)
 	}
 }
+
+// TestReadBody: the buffer starts from the declared length, capped at
+// 1 MiB, and doubles from there. An honest body of known length up to
+// 1 MiB costs one allocation; a false Content-Length reserves at most
+// 1 MiB; an unknown or short length still reads the whole body; and the
+// reader's error, such as http.MaxBytesReader's, comes back as it is.
+func TestReadBody(t *testing.T) {
+	for _, n := range []int{0, 1, 511, 4096, maxBodyReserve} {
+		body := bytes.Repeat([]byte{'x'}, n)
+		rd := bytes.NewReader(body)
+		var got []byte
+		allocs := testing.AllocsPerRun(20, func() {
+			rd.Reset(body)
+			var err error
+			if got, err = ReadBody(rd, int64(n)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !bytes.Equal(got, body) {
+			t.Fatalf("%d-byte body read back as %d bytes", n, len(got))
+		}
+		if n > 0 && allocs != 1 {
+			t.Errorf("%d-byte body of declared length: %v allocations, want 1", n, allocs)
+		}
+	}
+
+	got, err := ReadBody(strings.NewReader("short"), 64<<20)
+	if err != nil || string(got) != "short" {
+		t.Fatalf("false length: %q, %v", got, err)
+	}
+	if cap(got) > maxBodyReserve+1 {
+		t.Fatalf("a false length reserved %d bytes, want at most %d", cap(got), maxBodyReserve+1)
+	}
+
+	body := bytes.Repeat([]byte("0123456789"), 300_000) // 3 MB, past the reserve
+	for _, size := range []int64{-1, 10, int64(len(body))} {
+		got, err := ReadBody(bytes.NewReader(body), size)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("declared %d: read %d of %d bytes, %v", size, len(got), len(body), err)
+		}
+	}
+
+	w := httptest.NewRecorder()
+	capped := http.MaxBytesReader(w, io.NopCloser(bytes.NewReader(body)), 1000)
+	var tooLarge *http.MaxBytesError
+	if _, err := ReadBody(capped, int64(len(body))); !errors.As(err, &tooLarge) {
+		t.Fatalf("capped read: %v, want *http.MaxBytesError", err)
+	}
+}

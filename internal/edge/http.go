@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
 	"strings"
 
 	"repro/internal/obs"
@@ -52,11 +54,50 @@ func WriteBodyErr(w http.ResponseWriter, err error) {
 	WriteErr(w, http.StatusBadRequest, api.CodeInvalidRequest, err, nil)
 }
 
+// maxBodyReserve caps the buffer ReadBody reserves from a declared
+// length before any byte arrives: a peer can declare any Content-Length
+// without sending it.
+const maxBodyReserve = 1 << 20
+
+// ReadBody reads a request or response body to EOF, as io.ReadAll does.
+// Its buffer starts at min(size, 1 MiB) bytes, size being the body's
+// declared length (ContentLength, -1 when unknown), and doubles as it
+// fills, so an honest body of up to 1 MiB costs one allocation and a
+// false length reserves at most 1 MiB. The cap on what is read is the
+// caller's: request bodies come through http.MaxBytesReader, whose error
+// ReadBody returns as it gets it.
+func ReadBody(r io.Reader, size int64) ([]byte, error) {
+	reserve := int64(512)
+	if size > 0 {
+		reserve = min(size, maxBodyReserve)
+	}
+	// One byte past the declared length lets the read that finds EOF land
+	// in the buffer instead of growing it.
+	buf := make([]byte, 0, reserve+1)
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, cap(buf))
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
 // DecodeBatch reads a POST /v1/query:batch body of at most limit bytes
 // and checks its shape. On false the error envelope has been written.
 func DecodeBatch(w http.ResponseWriter, r *http.Request, limit int64) (api.BatchQueryRequest, bool) {
 	var req api.BatchQueryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&req); err != nil {
+	body, err := ReadBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength)
+	if err == nil {
+		err = json.Unmarshal(body, &req)
+	}
+	if err != nil {
 		WriteBodyErr(w, fmt.Errorf("decoding request: %w", err))
 		return req, false
 	}

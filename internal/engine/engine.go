@@ -296,18 +296,27 @@ func (e *Engine) Execute(ctx context.Context, releaseID string, snap *release.Sn
 		qi   int // index into qs/results
 		cell int // index into results[qi].Groups; -1 for ungrouped
 	}
-	var units []query.Query
-	var refs []unitRef
+	cells := make([][]query.GroupCell, len(qs))
+	n := 0
+	for i := range qs {
+		if len(qs[i].GroupBy) == 0 {
+			n++
+			continue
+		}
+		cells[i] = query.GroupCells(snap.Schema, qs[i])
+		n += len(cells[i])
+	}
+	units := make([]query.Query, 0, n)
+	refs := make([]unitRef, 0, n)
 	for i := range qs {
 		if len(qs[i].GroupBy) == 0 {
 			units = append(units, qs[i])
 			refs = append(refs, unitRef{qi: i, cell: -1})
 			continue
 		}
-		cells := query.GroupCells(snap.Schema, qs[i])
-		results[i].Groups = make([]GroupResult, len(cells))
+		results[i].Groups = make([]GroupResult, len(cells[i]))
 		results[i].Cached = true // cleared when any cell is computed fresh
-		for ci, c := range cells {
+		for ci, c := range cells[i] {
 			results[i].Groups[ci] = GroupResult{Lo: c.Lo, Hi: c.Hi}
 			units = append(units, c.Query)
 			refs = append(refs, unitRef{qi: i, cell: ci})

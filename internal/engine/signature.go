@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"strconv"
+	"strings"
 
 	"repro/internal/query"
 )
@@ -17,28 +18,30 @@ import (
 // first, so identical cells across a batch (or across grouped and
 // ungrouped requests) share one entry.
 func signature(releaseID string, q query.Query) string {
-	buf := make([]byte, 0, len(releaseID)+24+34*len(q.Dims))
-	buf = append(buf, releaseID...)
-	buf = append(buf, '|')
-	buf = strconv.AppendInt(buf, int64(q.SALo), 10)
-	buf = append(buf, ':')
-	buf = strconv.AppendInt(buf, int64(q.SAHi), 10)
+	var b strings.Builder
+	b.Grow(len(releaseID) + 24 + 34*len(q.Dims))
+	var num [20]byte // one rendered number at a time, on the stack
+	b.WriteString(releaseID)
+	b.WriteByte('|')
+	b.Write(strconv.AppendInt(num[:0], int64(q.SALo), 10))
+	b.WriteByte(':')
+	b.Write(strconv.AppendInt(num[:0], int64(q.SAHi), 10))
 	if !q.Agg.IsCount() {
 		// Dim segments start with a digit, so a letter-led aggregate
 		// segment can never collide with one.
-		buf = append(buf, '|')
-		buf = append(buf, q.Agg...)
+		b.WriteByte('|')
+		b.WriteString(string(q.Agg))
 	}
 	q = query.Canonical(q)
 	for i := range q.Dims {
-		buf = append(buf, '|')
-		buf = strconv.AppendInt(buf, int64(q.Dims[i]), 10)
-		buf = append(buf, ':')
-		buf = strconv.AppendUint(buf, boundBits(q.Lo[i]), 16)
-		buf = append(buf, ':')
-		buf = strconv.AppendUint(buf, boundBits(q.Hi[i]), 16)
+		b.WriteByte('|')
+		b.Write(strconv.AppendInt(num[:0], int64(q.Dims[i]), 10))
+		b.WriteByte(':')
+		b.Write(strconv.AppendUint(num[:0], boundBits(q.Lo[i]), 16))
+		b.WriteByte(':')
+		b.Write(strconv.AppendUint(num[:0], boundBits(q.Hi[i]), 16))
 	}
-	return string(buf)
+	return b.String()
 }
 
 // boundBits returns the IEEE-754 bit pattern of a predicate bound with

@@ -34,7 +34,10 @@ func TestECColumnsMatchesRowForm(t *testing.T) {
 		ec.BuildSAPrefix()
 		ecs[i] = ec
 	}
-	cols := BuildECColumns(ecs, d, m)
+	cols, err := BuildECColumns(ecs, d, m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cols.N != len(ecs) || cols.D != d || cols.M != m {
 		t.Fatalf("shape N=%d D=%d M=%d", cols.N, cols.D, cols.M)
 	}
@@ -69,7 +72,10 @@ func TestECColumnsMatchesRowForm(t *testing.T) {
 
 // TestECColumnsEmpty pins the zero-EC shape: no panics, empty arenas.
 func TestECColumnsEmpty(t *testing.T) {
-	cols := BuildECColumns(nil, 2, 4)
+	cols, err := BuildECColumns(nil, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cols.N != 0 || len(cols.SAPrefix) != 0 || len(cols.Lo) != 2 {
 		t.Fatalf("empty columns malformed: %+v", cols)
 	}

@@ -50,7 +50,7 @@ func FuzzEstimateEquivalence(f *testing.F) {
 		tab := fuzzTable(schema, nRows, rng)
 		part := fuzzPartition(tab, nECs, rng)
 		pub := part.Publish()
-		ix := BuildIndex(schema, pub, gridCells)
+		ix := indexECs(t, schema, pub, gridCells)
 
 		aggs := []query.Aggregate{query.AggCount, query.AggSum, query.AggAvg, query.AggMin, query.AggMax}
 		check := func(q query.Query, origin string) {

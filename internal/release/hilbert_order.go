@@ -9,15 +9,14 @@ import (
 	"repro/internal/microdata"
 )
 
-// CanonicalizeECs permutes a published EC set into the canonical serving
-// order — the Hilbert order BuildIndex imposes on every snapshot it
-// indexes. Callers comparing an independently rebuilt release against a
-// served one (the evaluation service's reproduce check) canonicalize
-// both sides with this instead of inventing an ad-hoc sort; the
-// permutation is deterministic and idempotent, so it is safe to apply to
-// either side any number of times.
-func CanonicalizeECs(schema *microdata.Schema, ecs []microdata.PublishedEC) {
+// ecColumns is where a generalized release's rows become its serving
+// store: it puts the published ECs into canonical order in place
+// (hilbertOrder), then copies them into columns. NewSnapshot and the
+// version 1/2 decode go through it; a version 3 decode reads columns
+// already in their stored order.
+func ecColumns(schema *microdata.Schema, ecs []microdata.PublishedEC) (*microdata.ECColumns, error) {
 	hilbertOrder(schema, ecs)
+	return microdata.BuildECColumns(ecs, len(schema.QI), len(schema.SA.Values))
 }
 
 // hilbertOrder permutes a published EC set in place into ascending Hilbert
@@ -27,12 +26,12 @@ func CanonicalizeECs(schema *microdata.Schema, ecs []microdata.PublishedEC) {
 // the verification loop land on neighbouring cache lines instead of
 // striding across the whole store.
 //
-// The permutation is pure bookkeeping: every estimator answers identically
-// under any EC order (the differential fuzzer pins this), and because the
-// sort is stable with the original position as tiebreak it is both
-// deterministic and idempotent — re-sorting already-ordered ECs is the
-// identity, which keeps encode(decode(x)) a byte fixpoint and golden
-// encodes stable.
+// The permutation is bookkeeping: the indexed estimator answers with the
+// bits of a linear scan over the same order (the differential fuzzer pins
+// this), and because the sort is stable with the original position as
+// tiebreak it is both deterministic and idempotent — re-sorting
+// already-ordered ECs is the identity, so rows written in canonical order
+// come back in it.
 func hilbertOrder(schema *microdata.Schema, ecs []microdata.PublishedEC) {
 	d := len(schema.QI)
 	if d < 1 || len(ecs) < 2 {
@@ -58,6 +57,9 @@ func hilbertOrder(schema *microdata.Schema, ecs []microdata.PublishedEC) {
 	buf := make([]uint32, d)
 	for i := range ecs {
 		box := &ecs[i].Box
+		if len(box.Lo) != d || len(box.Hi) != d {
+			return // no place on the curve; the caller's shape check refuses it
+		}
 		for j := 0; j < d; j++ {
 			c := 0.5 * (box.Lo[j] + box.Hi[j])
 			if math.IsNaN(c) { // hand-built box with infinite bounds

@@ -44,14 +44,14 @@ func TestHilbertOrderDeterministicIdempotent(t *testing.T) {
 	}
 }
 
-// TestHilbertOrderPreservesEstimates: BuildIndex permutes the EC slice,
-// and every estimate must equal, bit for bit, a linear scan of the same
-// (permuted) set — the permutation is pure bookkeeping.
+// TestHilbertOrderPreservesEstimates: turning rows into the EC store
+// permutes them, and every estimate must equal, bit for bit, a linear
+// scan of the same (permuted) set — the permutation is pure bookkeeping.
 func TestHilbertOrderPreservesEstimates(t *testing.T) {
 	schema := census.Schema().Project(3)
 	rng := rand.New(rand.NewSource(3))
 	ecs := SyntheticECs(schema, 800, rng)
-	ix := BuildIndex(schema, ecs, 0)
+	ix := indexECs(t, schema, ecs, 0)
 	gen, err := query.NewGenerator(schema, 2, 0.05, rng)
 	if err != nil {
 		t.Fatal(err)

@@ -18,22 +18,19 @@ import (
 // in both the first set of c1 and the second set of c0, so a query ANDs
 // two bitsets per predicate and reads the survivors out in ascending EC
 // index — the data-skipping idea of per-block summaries applied to EC
-// bounding boxes. Verification reads the columnar mirror of the EC store
-// (microdata.ECColumns) rather than the row structs: flat Lo/Hi columns
-// and SA prefix arenas, cache-local because BuildIndex first remaps EC
-// IDs into Hilbert order (see hilbertOrder). Ascending EC index is the
-// order the linear scan walks, and each survivor's term is formed as
-// query.OverlapFraction forms it, so every indexed answer has the linear
-// scan's bits.
+// bounding boxes. Verification reads the EC store itself, a
+// microdata.ECColumns: flat Lo/Hi columns and SA prefix arenas,
+// cache-local because the ECs sit in Hilbert order (see hilbertOrder).
+// Ascending EC index is the order the linear scan of the same ECs walks,
+// and each survivor's term is formed as query.OverlapFraction forms it,
+// so every indexed answer has the linear scan's bits.
 //
 // The index is immutable after Build and safe for concurrent queries.
 type ECIndex struct {
-	schema *microdata.Schema
-	ecs    []microdata.PublishedEC
-	cols   *microdata.ECColumns
-	isCat  []bool
-	dims   []dimGrid
-	words  int // ⌈|ECs|/64⌉: the length of every EC bitset
+	cols  *microdata.ECColumns
+	isCat []bool
+	dims  []dimGrid
+	words int // ⌈|ECs|/64⌉: the length of every EC bitset
 
 	// totalSA holds exclusive prefix sums of the whole release's SA
 	// counts, answering predicate-free (λ=0) COUNT queries in O(1);
@@ -71,31 +68,24 @@ const MaxGridCells = 4096
 // per cell then cost at most 16 B per EC per dimension.
 const maxIndexCells = 64
 
-// BuildIndex constructs the index over a published EC set. The slice is
-// retained and permuted in place into Hilbert order of box centroids
-// (the reorder makes a query's candidates runs of nearby IDs, and a
-// linear scan of the permuted slice adds its terms in the index's order);
-// callers must not mutate it afterwards. Each EC's SA prefix sums are built if absent so range
-// counting is O(1) on the verification path. cellsPerDim ≤ 0 selects
-// √|ECs| clamped to [16, 64], balancing directory size against pruning
-// resolution; explicit values are capped at 64.
-func BuildIndex(schema *microdata.Schema, ecs []microdata.PublishedEC, cellsPerDim int) *ECIndex {
+// BuildIndex constructs the index over an EC store, which it keeps and
+// never modifies; the ECs keep their order, so callers put them in
+// canonical order first (NewSnapshot and the JSON decode do). cellsPerDim
+// ≤ 0 selects √|ECs| clamped to [16, 64], balancing directory size
+// against pruning resolution; explicit values are capped at 64.
+func BuildIndex(schema *microdata.Schema, cols *microdata.ECColumns, cellsPerDim int) *ECIndex {
 	if cellsPerDim <= 0 {
-		cellsPerDim = max(16, int(math.Sqrt(float64(len(ecs)))))
+		cellsPerDim = max(16, int(math.Sqrt(float64(cols.N))))
 	}
 	cellsPerDim = min(cellsPerDim, maxIndexCells)
-	hilbertOrder(schema, ecs)
-	ix := &ECIndex{schema: schema, ecs: ecs, words: (len(ecs) + 63) / 64}
+	ix := &ECIndex{cols: cols, words: (cols.N + 63) / 64}
 
-	ix.totalSA = make([]int, len(schema.SA.Values)+1)
-	ix.totalSAW = make([]int64, len(schema.SA.Values)+1)
-	for i := range ecs {
-		ec := &ecs[i]
-		if len(ec.SAPrefix) != len(ec.SACounts)+1 || len(ec.SAWPrefix) != len(ec.SACounts)+1 {
-			ec.BuildSAPrefix()
-		}
-		for v, c := range ec.SACounts {
-			ix.totalSA[v+1] += c
+	m := cols.M
+	ix.totalSA = make([]int, m+1)
+	ix.totalSAW = make([]int64, m+1)
+	for i := 0; i < cols.N; i++ {
+		for v, c := range cols.SACounts[i*m : (i+1)*m] {
+			ix.totalSA[v+1] += int(c)
 			ix.totalSAW[v+1] += int64(v) * int64(c)
 		}
 	}
@@ -104,7 +94,6 @@ func BuildIndex(schema *microdata.Schema, ecs []microdata.PublishedEC, cellsPerD
 		ix.totalSAW[v] += ix.totalSAW[v-1]
 	}
 
-	ix.cols = microdata.BuildECColumns(ecs, len(schema.QI), len(schema.SA.Values))
 	ix.isCat = make([]bool, len(schema.QI))
 	for d, a := range schema.QI {
 		ix.isCat[d] = a.Kind == microdata.Categorical
@@ -170,10 +159,11 @@ type Scratch struct {
 }
 
 // NumECs returns the number of indexed equivalence classes.
-func (ix *ECIndex) NumECs() int { return len(ix.ecs) }
+func (ix *ECIndex) NumECs() int { return ix.cols.N }
 
-// ECs returns the indexed EC slice; callers must treat it as read-only.
-func (ix *ECIndex) ECs() []microdata.PublishedEC { return ix.ecs }
+// Columns returns the EC store the index serves; callers must treat it
+// as read-only.
+func (ix *ECIndex) Columns() *microdata.ECColumns { return ix.cols }
 
 // Estimate answers the aggregate query with the same intersection
 // semantics, and the same bits, as query.EstimateGeneralized, visiting

@@ -14,12 +14,12 @@ import (
 // scan by ≥3× here. Run both with:
 //
 //	go test ./internal/release/ -bench 'Estimate(Linear|Indexed)' -benchtime 2s
-func benchSetup(b *testing.B, numECs int) (*ECIndex, []query.Query) {
+func benchSetup(b *testing.B, numECs int) (*ECIndex, []microdata.PublishedEC, []query.Query) {
 	b.Helper()
 	schema := benchSchema()
 	rng := rand.New(rand.NewSource(99))
 	ecs := SyntheticECs(schema, numECs, rng)
-	ix := BuildIndex(schema, ecs, 0)
+	ix := indexECs(b, schema, ecs, 0)
 	gen, err := query.NewGenerator(schema, 2, 0.01, rng)
 	if err != nil {
 		b.Fatal(err)
@@ -28,7 +28,7 @@ func benchSetup(b *testing.B, numECs int) (*ECIndex, []query.Query) {
 	for i := range queries {
 		queries[i] = gen.Next()
 	}
-	return ix, queries
+	return ix, ecs, queries
 }
 
 func benchSchema() *microdata.Schema {
@@ -36,8 +36,8 @@ func benchSchema() *microdata.Schema {
 }
 
 func BenchmarkEstimateLinear10kECs(b *testing.B) {
-	ix, queries := benchSetup(b, 10000)
-	schema, ecs := ix.schema, ix.ecs
+	_, ecs, queries := benchSetup(b, 10000)
+	schema := benchSchema()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		query.EstimateGeneralized(schema, ecs, queries[i%len(queries)])
@@ -45,7 +45,7 @@ func BenchmarkEstimateLinear10kECs(b *testing.B) {
 }
 
 func BenchmarkEstimateIndexed10kECs(b *testing.B) {
-	ix, queries := benchSetup(b, 10000)
+	ix, _, queries := benchSetup(b, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Estimate(queries[i%len(queries)])
@@ -53,8 +53,8 @@ func BenchmarkEstimateIndexed10kECs(b *testing.B) {
 }
 
 func BenchmarkEstimateLinear50kECs(b *testing.B) {
-	ix, queries := benchSetup(b, 50000)
-	schema, ecs := ix.schema, ix.ecs
+	_, ecs, queries := benchSetup(b, 50000)
+	schema := benchSchema()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		query.EstimateGeneralized(schema, ecs, queries[i%len(queries)])
@@ -62,7 +62,7 @@ func BenchmarkEstimateLinear50kECs(b *testing.B) {
 }
 
 func BenchmarkEstimateIndexed50kECs(b *testing.B) {
-	ix, queries := benchSetup(b, 50000)
+	ix, _, queries := benchSetup(b, 50000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Estimate(queries[i%len(queries)])
@@ -72,9 +72,12 @@ func BenchmarkEstimateIndexed50kECs(b *testing.B) {
 func BenchmarkBuildIndex10kECs(b *testing.B) {
 	schema := benchSchema()
 	rng := rand.New(rand.NewSource(99))
-	ecs := SyntheticECs(schema, 10000, rng)
+	cols, err := ecColumns(schema, SyntheticECs(schema, 10000, rng))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildIndex(schema, ecs, 0)
+		BuildIndex(schema, cols, 0)
 	}
 }

@@ -7,10 +7,35 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/anon"
 	"repro/internal/census"
 	"repro/internal/microdata"
 	"repro/internal/query"
 )
+
+// indexECs turns hand-built rows into an EC store the way NewSnapshot
+// does — ordering the rows in place, so they stay the linear reference
+// of the store's order — and indexes it.
+func indexECs(t testing.TB, schema *microdata.Schema, ecs []microdata.PublishedEC, cellsPerDim int) *ECIndex {
+	t.Helper()
+	cols, err := ecColumns(schema, ecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return BuildIndex(schema, cols, cellsPerDim)
+}
+
+// anonymized runs spec's method over tab and serves the result, returning
+// the method's release too: NewSnapshot leaves its ECs in the order the
+// snapshot serves, so it is the linear reference.
+func anonymized(t testing.TB, tab *microdata.Table, spec Spec) (*anon.Release, *Snapshot) {
+	t.Helper()
+	rel, err := anon.Anonymize(context.Background(), tab, spec.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel, mustSnapshot(t, rel, spec.GridCells)
+}
 
 // TestIndexMatchesLinear: the indexed estimator must give the linear
 // scan's bits on every query, across λ and θ shapes, including λ=0
@@ -19,7 +44,7 @@ func TestIndexMatchesLinear(t *testing.T) {
 	schema := census.Schema().Project(3)
 	rng := rand.New(rand.NewSource(7))
 	ecs := SyntheticECs(schema, 2000, rng)
-	ix := BuildIndex(schema, ecs, 0)
+	ix := indexECs(t, schema, ecs, 0)
 
 	for _, shape := range []struct {
 		lambda int
@@ -44,10 +69,7 @@ func TestIndexMatchesLinear(t *testing.T) {
 // BUREL release, whose boxes are correlated rather than uniform.
 func TestIndexMatchesLinearOnBurel(t *testing.T) {
 	tab := census.Generate(census.Options{N: 3000, Seed: 5}).Project(3)
-	snap, err := build(context.Background(), tab, burelSpec(4, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel, snap := anonymized(t, tab, burelSpec(4, 1))
 	rng := rand.New(rand.NewSource(11))
 	gen, err := query.NewGenerator(tab.Schema, 2, 0.05, rng)
 	if err != nil {
@@ -55,7 +77,7 @@ func TestIndexMatchesLinearOnBurel(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		q := gen.Next()
-		want := query.EstimateGeneralized(tab.Schema, snap.Release.ECs, q)
+		want := query.EstimateGeneralized(tab.Schema, rel.ECs, q)
 		got, err := snap.Estimate(q)
 		if err != nil {
 			t.Fatal(err)
@@ -73,7 +95,7 @@ func TestIndexPrunes(t *testing.T) {
 	schema := census.Schema().Project(3)
 	rng := rand.New(rand.NewSource(3))
 	ecs := SyntheticECs(schema, 10000, rng)
-	ix := BuildIndex(schema, ecs, 0)
+	ix := indexECs(t, schema, ecs, 0)
 	gen, err := query.NewGenerator(schema, 2, 0.01, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +158,7 @@ func TestIndexWideBoxes(t *testing.T) {
 		counts[rng.Intn(m)] = 3
 		ecs[i] = microdata.PublishedEC{Box: microdata.Box{Lo: lo, Hi: hi}, SACounts: counts, Size: 3}
 	}
-	ix := BuildIndex(schema, ecs, MaxGridCells)
+	ix := indexECs(t, schema, ecs, MaxGridCells)
 	for d := range ix.dims {
 		g := &ix.dims[d]
 		if bytes := 8 * (len(g.from) + len(g.to)); bytes > 16*(n+63) {
@@ -183,7 +205,7 @@ func TestIndexDirectoryBitsets(t *testing.T) {
 		for _, shape := range []string{"point", "wide", "edge", "mixed"} {
 			rng := rand.New(rand.NewSource(int64(n)))
 			ecs := shapedECs(schema, shape, n, 32, rng)
-			cases[fmt.Sprintf("%s/%d", shape, n)] = BuildIndex(schema, ecs, 32)
+			cases[fmt.Sprintf("%s/%d", shape, n)] = indexECs(t, schema, ecs, 32)
 		}
 	}
 	for name, ix := range cases {
@@ -282,10 +304,7 @@ func permute(q query.Query, perm []int) query.Query {
 // ties, in listing order made some permutations differ in their last bits.
 func TestEstimateIgnoresPredicateOrder(t *testing.T) {
 	tab := census.Generate(census.Options{N: 20000, Seed: 5})
-	snap, err := build(context.Background(), tab, burelSpec(4, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel, snap := anonymized(t, tab, burelSpec(4, 1))
 	gen, err := query.NewGenerator(tab.Schema, 3, 0.1, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +318,7 @@ func TestEstimateIgnoresPredicateOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		linear, err := snap.Release.Estimate(q)
+		linear, err := rel.Estimate(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +327,7 @@ func TestEstimateIgnoresPredicateOrder(t *testing.T) {
 			if got, _ := snap.Estimate(p); math.Float64bits(got) != math.Float64bits(indexed) {
 				t.Fatalf("query %d dims %v: Snapshot.Estimate %v, %v in order", i, p.Dims, got, indexed)
 			}
-			if got, _ := snap.Release.Estimate(p); math.Float64bits(got) != math.Float64bits(linear) {
+			if got, _ := rel.Estimate(p); math.Float64bits(got) != math.Float64bits(linear) {
 				t.Fatalf("query %d dims %v: anon.Release.Estimate %v, %v in order", i, p.Dims, got, linear)
 			}
 		}

@@ -167,22 +167,24 @@ type Meta struct {
 }
 
 // Snapshot is the immutable queryable payload of a ready release: the
-// anon.Release produced by the method, plus the serving-side layout its
-// estimator reads — the grid index of a generalized release, the tuple
-// blocks of a perturbed one. All fields are read-only after build;
-// Estimate is safe for concurrent use.
+// release header plus the serving-side layout its kind's estimator reads
+// — the grid index over the EC columns of a generalized release, the
+// tuple blocks of a perturbed one, the publication of an Anatomy one.
+// All fields are read-only after build; Estimate is safe for concurrent
+// use.
 type Snapshot struct {
 	Kind   Kind
 	Schema *microdata.Schema
 
-	// Release is the method output backing this snapshot (the published
-	// ECs of a generalized release live in Release.ECs). For a perturbed
-	// release it holds the header and the scheme only: Release.Perturbed
-	// is nil, because Tuples is the one copy of the published tuples.
+	// Release is the header of the method's output (Method, Schema, Rows,
+	// AIL) plus what the estimator reads outside the layouts below: the
+	// scheme of a perturbed release, the publication of an Anatomy one.
+	// ECs, Partition and Perturbed are always nil: Index and Tuples hold
+	// the one copy of the published ECs and tuples.
 	Release *anon.Release
 
 	// Index is the serving-side grid index over a generalized release's
-	// EC bounding boxes.
+	// EC store (Index.Columns).
 	Index *ECIndex
 
 	// Tuples is the block layout of a perturbed release's tuples.
@@ -190,21 +192,29 @@ type Snapshot struct {
 }
 
 // NewSnapshot wraps a method's release in its serving form, building the
-// grid index for generalized payloads and the canonical tuple blocks for
-// perturbed ones. gridCells overrides the index's per-dimension
-// resolution (0 = auto). A perturbed release is not modified: the
-// snapshot copies its header and builds the blocks from its table.
+// EC store and its grid index for generalized payloads and the canonical
+// tuple blocks for perturbed ones. gridCells overrides the index's
+// per-dimension resolution (0 = auto). The snapshot keeps the release's
+// header and what its kind's estimator reads, never the pre-publication
+// partition or the input table. The release is only read, except that a
+// generalized release's ECs are put into canonical order in place.
 func NewSnapshot(rel *anon.Release, gridCells int) (*Snapshot, error) {
 	if rel == nil || rel.Schema == nil {
 		return nil, fmt.Errorf("release: nil release")
 	}
-	s := &Snapshot{Schema: rel.Schema, Release: rel}
+	header := &anon.Release{Method: rel.Method, Schema: rel.Schema, Rows: rel.Rows, AIL: rel.AIL}
+	s := &Snapshot{Schema: rel.Schema, Release: header}
 	switch {
 	case rel.ECs != nil:
 		s.Kind = KindGeneralized
-		s.Index = BuildIndex(rel.Schema, rel.ECs, gridCells)
+		cols, err := ecColumns(rel.Schema, rel.ECs)
+		if err != nil {
+			return nil, fmt.Errorf("release: %w", err)
+		}
+		s.Index = BuildIndex(rel.Schema, cols, gridCells)
 	case rel.Baseline != nil || rel.LDiverse != nil:
 		s.Kind = KindAnatomy
+		header.Baseline, header.LDiverse = rel.Baseline, rel.LDiverse
 	case rel.Perturbed != nil && rel.Scheme != nil:
 		s.Kind = KindPerturbed
 		tb, err := tableBlocks(rel.Perturbed)
@@ -212,9 +222,7 @@ func NewSnapshot(rel *anon.Release, gridCells int) (*Snapshot, error) {
 			return nil, err
 		}
 		s.Tuples = tb
-		header := *rel
-		header.Perturbed = nil
-		s.Release = &header
+		header.Scheme = rel.Scheme
 	default:
 		return nil, fmt.Errorf("release: method %q produced no queryable payload", rel.Method)
 	}

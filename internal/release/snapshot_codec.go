@@ -54,7 +54,8 @@ import (
 // Decoding rejects corrupt or truncated input with an error wrapping
 // ErrCorruptSnapshot — never a panic — and rebuilds the derived state
 // (SA prefix sums, the grid index, the calibrated perturbation scheme)
-// rather than persisting it.
+// rather than persisting it. The EC block is read straight into the
+// serving store, a microdata.ECColumns, and written from it.
 const (
 	snapshotMagic = "RPROSNAP"
 	// SnapshotFormatVersion is the current wire format version. Version 3
@@ -228,14 +229,14 @@ func encodePayload(snap *Snapshot) (*snapPayload, []byte, error) {
 	var err error
 	switch snap.Kind {
 	case KindGeneralized:
-		if rel.ECs == nil {
-			return nil, nil, fmt.Errorf("release: generalized snapshot without ECs")
+		if snap.Index == nil {
+			return nil, nil, fmt.Errorf("release: generalized snapshot without index")
 		}
-		d, m := len(snap.Schema.QI), len(snap.Schema.SA.Values)
-		columns = append(make([]byte, 0, 1+ecColumnsLen(len(rel.ECs), d, m)), binFlagECs)
-		if columns, err = appendECColumns(columns, rel.ECs, d, m); err != nil {
-			return nil, nil, err
+		c := snap.Index.Columns()
+		if c.D != len(snap.Schema.QI) || c.M != len(snap.Schema.SA.Values) {
+			return nil, nil, fmt.Errorf("release: EC store spans %d dims and %d SA values, schema %d and %d", c.D, c.M, len(snap.Schema.QI), len(snap.Schema.SA.Values))
 		}
+		columns = appendECColumns(append(make([]byte, 0, 1+ecColumnsLen(c.N, c.D, c.M)), binFlagECs), c)
 	case KindAnatomy:
 		var tab *microdata.Table
 		switch {
@@ -302,54 +303,28 @@ func tupleColumnsLen(rows, d int) int {
 }
 
 // appendECColumns serializes the EC store into the binary columnar form.
-// Structural impossibilities — a box of the wrong dimensionality, a count
-// that does not fit the u32 wire type — fail the encode loudly rather
-// than persist a file every restart would demote to corrupt.
-func appendECColumns(out []byte, ecs []microdata.PublishedEC, d, m int) ([]byte, error) {
-	n := len(ecs)
-	if int64(n) > math.MaxInt32 {
-		return nil, fmt.Errorf("release: %d ECs exceed the snapshot format's u32 count", n)
-	}
-	out = binary.LittleEndian.AppendUint32(out, uint32(n))
-	out = binary.LittleEndian.AppendUint32(out, uint32(d))
-	out = binary.LittleEndian.AppendUint32(out, uint32(m))
-	for i := range ecs {
-		if len(ecs[i].Box.Lo) != d || len(ecs[i].Box.Hi) != d {
-			return nil, fmt.Errorf("release: EC %d box spans %d/%d dims, schema has %d", i, len(ecs[i].Box.Lo), len(ecs[i].Box.Hi), d)
-		}
-		if len(ecs[i].SACounts) != m {
-			return nil, fmt.Errorf("release: EC %d has %d SA counts, domain %d", i, len(ecs[i].SACounts), m)
-		}
-	}
-	for j := 0; j < d; j++ {
-		out = binary.LittleEndian.AppendUint32(out, uint32(n))
-		for i := range ecs {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(ecs[i].Box.Lo[j]))
-		}
-	}
-	for j := 0; j < d; j++ {
-		out = binary.LittleEndian.AppendUint32(out, uint32(n))
-		for i := range ecs {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(ecs[i].Box.Hi[j]))
-		}
-	}
-	out = binary.LittleEndian.AppendUint32(out, uint32(n))
-	for i := range ecs {
-		if ecs[i].Size < 0 || int64(ecs[i].Size) > math.MaxInt32 {
-			return nil, fmt.Errorf("release: EC %d size %d does not fit the u32 wire type", i, ecs[i].Size)
-		}
-		out = binary.LittleEndian.AppendUint32(out, uint32(ecs[i].Size))
-	}
-	out = binary.LittleEndian.AppendUint32(out, uint32(n*m))
-	for i := range ecs {
-		for v, c := range ecs[i].SACounts {
-			if c < 0 || int64(c) > math.MaxInt32 {
-				return nil, fmt.Errorf("release: EC %d SA count %d = %d does not fit the u32 wire type", i, v, c)
+// Its sizes and counts are non-negative int32s, which the u32 wire type
+// holds: BuildECColumns refused any other value where rows became
+// columns, and the decoder refuses them on read.
+func appendECColumns(out []byte, c *microdata.ECColumns) []byte {
+	out = binary.LittleEndian.AppendUint32(out, uint32(c.N))
+	out = binary.LittleEndian.AppendUint32(out, uint32(c.D))
+	out = binary.LittleEndian.AppendUint32(out, uint32(c.M))
+	for _, bounds := range [][][]float64{c.Lo, c.Hi} {
+		for _, col := range bounds {
+			out = binary.LittleEndian.AppendUint32(out, uint32(len(col)))
+			for _, v := range col {
+				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 			}
-			out = binary.LittleEndian.AppendUint32(out, uint32(c))
 		}
 	}
-	return out, nil
+	for _, col := range [][]int32{c.Sizes, c.SACounts} {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(col)))
+		for _, v := range col {
+			out = binary.LittleEndian.AppendUint32(out, uint32(v))
+		}
+	}
+	return out
 }
 
 // appendTupleColumns serializes a table body held as QI columns plus an
@@ -397,10 +372,11 @@ func encodeSchema(s *microdata.Schema) snapSchema {
 
 // DecodeSnapshot parses and validates a snapshot of any supported
 // format version (currently 1..3; 1 and 2 carry the row data as JSON,
-// 3 as binary columns), returning
-// the queryable snapshot (grid index, SA prefix sums, and perturbation
-// scheme rebuilt) plus the spec it was encoded with. Malformed input of
-// any shape yields an error wrapping ErrCorruptSnapshot (or
+// 3 as binary columns), returning the queryable snapshot (grid index, SA
+// prefix sums, and perturbation scheme rebuilt) plus the spec it was
+// encoded with. Version 3 rows keep their stored order; version 1 and 2
+// ECs are put into canonical order as they become columns. Malformed
+// input of any shape yields an error wrapping ErrCorruptSnapshot (or
 // ErrSnapshotVersion for a future format); it never panics.
 func DecodeSnapshot(data []byte) (*Snapshot, Spec, error) {
 	v, sections, err := snapshotFrame.Decode(data)
@@ -446,7 +422,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, Spec, error) {
 	// JSON that also smuggles ecs/tuples would leave two sources of truth,
 	// so it is rejected rather than silently preferring one. Older
 	// versions' JSON tuples are brought into the same column form.
-	var binECs []microdata.PublishedEC
+	var binECs *microdata.ECColumns
 	var tuples *tupleCols
 	if v >= 3 {
 		if payload.ECs != nil || payload.Tuples != nil {
@@ -465,22 +441,18 @@ func DecodeSnapshot(data []byte) (*Snapshot, Spec, error) {
 	snap := &Snapshot{Kind: header.Kind, Schema: schema, Release: rel}
 	switch header.Kind {
 	case KindGeneralized:
-		var ecs []microdata.PublishedEC
+		cols := binECs
 		if v >= 3 {
 			if tuples != nil {
 				return nil, Spec{}, corrupt("generalized snapshot carries a tuple block")
 			}
-			if binECs == nil {
+			if cols == nil {
 				return nil, Spec{}, corrupt("generalized snapshot without an EC block")
 			}
-			ecs = binECs
-		} else {
-			if ecs, err = decodeECs(payload.ECs, schema); err != nil {
-				return nil, Spec{}, err
-			}
+		} else if cols, err = decodeECs(payload.ECs, schema); err != nil {
+			return nil, Spec{}, err
 		}
-		rel.ECs = ecs
-		snap.Index = BuildIndex(schema, ecs, spec.GridCells)
+		snap.Index = BuildIndex(schema, cols, spec.GridCells)
 	case KindAnatomy:
 		if binECs != nil {
 			return nil, Spec{}, corrupt("anatomy snapshot carries an EC block")
@@ -521,10 +493,10 @@ func (r *colReader) u32(what string) (int, error) {
 	return int(v), nil
 }
 
-// f64col reads one length-prefixed float64 column of n elements into
-// dst[start], dst[start+stride], … — scattering a wire column straight
-// into a row-major arena without an intermediate copy.
-func (r *colReader) f64col(dst []float64, start, stride, n int, what string) error {
+// f64col reads one length-prefixed float64 column into dst, which fixes
+// the element count the prefix must declare.
+func (r *colReader) f64col(dst []float64, what string) error {
+	n := len(dst)
 	c, err := r.u32(what + " length")
 	if err != nil {
 		return err
@@ -535,19 +507,18 @@ func (r *colReader) f64col(dst []float64, start, stride, n int, what string) err
 	if int64(len(r.data)-r.off) < int64(n)*8 {
 		return corrupt("binary section truncated inside %s: %d of %d bytes", what, len(r.data)-r.off, int64(n)*8)
 	}
-	off := r.off
-	for i := 0; i < n; i++ {
-		dst[start+i*stride] = math.Float64frombits(binary.LittleEndian.Uint64(r.data[off:]))
-		off += 8
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.data[r.off+8*i:]))
 	}
-	r.off = off
+	r.off += 8 * n
 	return nil
 }
 
-// u32col reads one length-prefixed u32 column of n elements into dst
-// contiguously. Elements above MaxInt32 are corrupt (they could not have
-// been written by the encoder's range checks).
-func u32col[T int | int32](r *colReader, dst []T, n int, what string) error {
+// u32col reads one length-prefixed u32 column into dst, which fixes the
+// element count the prefix must declare. Elements above MaxInt32 are
+// corrupt (they could not have been written from int32 columns).
+func (r *colReader) u32col(dst []int32, what string) error {
+	n := len(dst)
 	c, err := r.u32(what + " length")
 	if err != nil {
 		return err
@@ -558,23 +529,21 @@ func u32col[T int | int32](r *colReader, dst []T, n int, what string) error {
 	if int64(len(r.data)-r.off) < int64(n)*4 {
 		return corrupt("binary section truncated inside %s: %d of %d bytes", what, len(r.data)-r.off, int64(n)*4)
 	}
-	off := r.off
-	for i := 0; i < n; i++ {
-		v := binary.LittleEndian.Uint32(r.data[off:])
-		off += 4
-		if int32(v) < 0 {
-			return corrupt("binary %s element %d = %d overflows int32", what, i, v)
+	for i := range dst {
+		v := int32(binary.LittleEndian.Uint32(r.data[r.off+4*i:]))
+		if v < 0 {
+			return corrupt("binary %s element %d = %d overflows int32", what, i, uint32(v))
 		}
-		dst[i] = T(v)
+		dst[i] = v
 	}
-	r.off = off
+	r.off += 4 * n
 	return nil
 }
 
 // decodeColumns parses the version-3 binary section into whichever row
 // blocks its flags declare. The section must be consumed exactly: bytes
 // past the declared blocks mean a splice, not padding.
-func decodeColumns(bin []byte, schema *microdata.Schema) ([]microdata.PublishedEC, *tupleCols, error) {
+func decodeColumns(bin []byte, schema *microdata.Schema) (*microdata.ECColumns, *tupleCols, error) {
 	if len(bin) == 0 {
 		return nil, nil, corrupt("binary section is empty")
 	}
@@ -583,7 +552,7 @@ func decodeColumns(bin []byte, schema *microdata.Schema) ([]microdata.PublishedE
 		return nil, nil, corrupt("binary section flags %#02x set unknown bits", flags)
 	}
 	r := &colReader{data: bin, off: 1}
-	var ecs []microdata.PublishedEC
+	var ecs *microdata.ECColumns
 	var tuples *tupleCols
 	var err error
 	if flags&binFlagECs != 0 {
@@ -602,12 +571,10 @@ func decodeColumns(bin []byte, schema *microdata.Schema) ([]microdata.PublishedE
 	return ecs, tuples, nil
 }
 
-// readECColumns rebuilds the published EC store from its columnar form.
-// The rows are carved out of five shared arenas (lo, hi, counts, and both
-// prefix-sum caches), so a 10k-EC store costs a handful of allocations
-// instead of six per EC, and the rebuilt prefix slices sit contiguously —
-// the same layout BuildECColumns assumes when it flattens them again.
-func readECColumns(r *colReader, schema *microdata.Schema) ([]microdata.PublishedEC, error) {
+// readECColumns reads the EC block straight into the serving store, in
+// stored order: the wire's lo, hi, size and count columns land in the
+// store's own columns, and the prefix sums are derived from the counts.
+func readECColumns(r *colReader, schema *microdata.Schema) (*microdata.ECColumns, error) {
 	n, err := r.u32("EC count")
 	if err != nil {
 		return nil, err
@@ -627,60 +594,51 @@ func readECColumns(r *colReader, schema *microdata.Schema) ([]microdata.Publishe
 		return nil, corrupt("EC block has SA domain %d, schema has %d", m, len(schema.SA.Values))
 	}
 	// Bound the claimed N by the bytes actually present before sizing any
-	// arena: a hostile count must fail here, not in make.
+	// column: a hostile count must fail here, not in make.
 	need := int64(2*d)*(4+8*int64(n)) + 4 + 4*int64(n) + 4 + 4*int64(n)*int64(m)
 	if rem := int64(len(r.data) - r.off); need > rem {
 		return nil, corrupt("EC block claims %d ECs needing %d bytes, %d remain", n, need, rem)
 	}
-	loArena := make([]float64, n*d)
-	hiArena := make([]float64, n*d)
-	for j := 0; j < d; j++ {
-		if err := r.f64col(loArena, j, d, n, fmt.Sprintf("lo column %d", j)); err != nil {
+	c := microdata.NewECColumns(n, d, m)
+	for j, col := range c.Lo {
+		if err := r.f64col(col, fmt.Sprintf("lo column %d", j)); err != nil {
 			return nil, err
 		}
 	}
-	for j := 0; j < d; j++ {
-		if err := r.f64col(hiArena, j, d, n, fmt.Sprintf("hi column %d", j)); err != nil {
+	for j, col := range c.Hi {
+		if err := r.f64col(col, fmt.Sprintf("hi column %d", j)); err != nil {
 			return nil, err
 		}
 	}
-	sizes := make([]int, n)
-	if err := u32col(r, sizes, n, "sizes column"); err != nil {
+	if err := r.u32col(c.Sizes, "sizes column"); err != nil {
 		return nil, err
 	}
-	countsArena := make([]int, n*m)
-	if err := u32col(r, countsArena, n*m, "SA counts"); err != nil {
+	if err := r.u32col(c.SACounts, "SA counts"); err != nil {
 		return nil, err
 	}
+	if err := c.DerivePrefix(); err != nil {
+		return nil, corrupt("%v", err)
+	}
+	return c, checkECs(c)
+}
 
-	prefArena := make([]int, n*(m+1))
-	wprefArena := make([]int64, n*(m+1))
-	out := make([]microdata.PublishedEC, n)
-	for i := range out {
-		lo := loArena[i*d : (i+1)*d : (i+1)*d]
-		hi := hiArena[i*d : (i+1)*d : (i+1)*d]
-		for j := range lo {
-			if !isFinite(lo[j]) || !isFinite(hi[j]) || lo[j] > hi[j] {
-				return nil, corrupt("EC %d dim %d has bad interval [%v,%v]", i, j, lo[j], hi[j])
+// checkECs holds a decoded EC store to what a published EC is: every box
+// interval finite and ordered, every size positive and equal to the sum
+// of its SA counts.
+func checkECs(c *microdata.ECColumns) error {
+	for j := range c.Lo {
+		for i, lo := range c.Lo[j] {
+			if hi := c.Hi[j][i]; !isFinite(lo) || !isFinite(hi) || lo > hi {
+				return corrupt("EC %d dim %d has bad interval [%v,%v]", i, j, lo, hi)
 			}
 		}
-		counts := countsArena[i*m : (i+1)*m : (i+1)*m]
-		sum := 0
-		for _, c := range counts {
-			sum += c // non-negative by u32col's range check
-		}
-		if sum != sizes[i] || sizes[i] <= 0 {
-			return nil, corrupt("EC %d size %d disagrees with SA counts summing to %d", i, sizes[i], sum)
-		}
-		ec := microdata.PublishedEC{Box: microdata.Box{Lo: lo, Hi: hi}, SACounts: counts, Size: sizes[i]}
-		// Hand BuildSAPrefix zero-length views with exactly m+1 capacity:
-		// it reslices them in place, so the caches land in the arenas too.
-		ec.SAPrefix = prefArena[i*(m+1) : i*(m+1) : (i+1)*(m+1)]
-		ec.SAWPrefix = wprefArena[i*(m+1) : i*(m+1) : (i+1)*(m+1)]
-		ec.BuildSAPrefix()
-		out[i] = ec
 	}
-	return out, nil
+	for i, size := range c.Sizes {
+		if sum := c.SAPrefix[i*(c.M+1)+c.M]; sum != size || size <= 0 {
+			return corrupt("EC %d size %d disagrees with SA counts summing to %d", i, size, sum)
+		}
+	}
+	return nil
 }
 
 // readTupleColumns reads a tuple block into columns, in stored order.
@@ -702,11 +660,11 @@ func readTupleColumns(r *colReader, schema *microdata.Schema) (*tupleCols, error
 	}
 	out := newTupleCols(rows, d)
 	for j, col := range out.qi {
-		if err := r.f64col(col, 0, 1, rows, fmt.Sprintf("QI column %d", j)); err != nil {
+		if err := r.f64col(col, fmt.Sprintf("QI column %d", j)); err != nil {
 			return nil, err
 		}
 	}
-	if err := u32col(r, out.sa, rows, "SA column"); err != nil {
+	if err := r.u32col(out.sa, "SA column"); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -779,36 +737,18 @@ func decodeSchema(s snapSchema) (*microdata.Schema, error) {
 	return schema, nil
 }
 
-func decodeECs(in []snapEC, schema *microdata.Schema) ([]microdata.PublishedEC, error) {
-	d, m := len(schema.QI), len(schema.SA.Values)
-	out := make([]microdata.PublishedEC, len(in))
+// decodeECs turns a version 1/2 JSON EC list into the serving store, in
+// canonical order, and checks it as a version 3 decode does.
+func decodeECs(in []snapEC, schema *microdata.Schema) (*microdata.ECColumns, error) {
+	ecs := make([]microdata.PublishedEC, len(in))
 	for i, e := range in {
-		if len(e.Lo) != d || len(e.Hi) != d {
-			return nil, corrupt("EC %d box spans %d/%d dims, schema has %d", i, len(e.Lo), len(e.Hi), d)
-		}
-		for j := range e.Lo {
-			if !isFinite(e.Lo[j]) || !isFinite(e.Hi[j]) || e.Lo[j] > e.Hi[j] {
-				return nil, corrupt("EC %d dim %d has bad interval [%v,%v]", i, j, e.Lo[j], e.Hi[j])
-			}
-		}
-		if len(e.SACounts) != m {
-			return nil, corrupt("EC %d has %d SA counts, domain %d", i, len(e.SACounts), m)
-		}
-		sum := 0
-		for v, c := range e.SACounts {
-			if c < 0 {
-				return nil, corrupt("EC %d SA count %d is negative", i, v)
-			}
-			sum += c
-		}
-		if sum != e.Size || e.Size <= 0 {
-			return nil, corrupt("EC %d size %d disagrees with SA counts summing to %d", i, e.Size, sum)
-		}
-		ec := microdata.PublishedEC{Box: microdata.Box{Lo: e.Lo, Hi: e.Hi}, SACounts: e.SACounts, Size: e.Size}
-		ec.BuildSAPrefix()
-		out[i] = ec
+		ecs[i] = microdata.PublishedEC{Box: microdata.Box{Lo: e.Lo, Hi: e.Hi}, SACounts: e.SACounts, Size: e.Size}
 	}
-	return out, nil
+	cols, err := ecColumns(schema, ecs)
+	if err != nil {
+		return nil, corrupt("%v", err)
+	}
+	return cols, checkECs(cols)
 }
 
 // decodeTable rebuilds a table through Table.Append, which re-validates

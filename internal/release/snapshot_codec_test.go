@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -77,19 +78,11 @@ func codecFixtures(t testing.TB) map[string]struct {
 		{Box: microdata.Box{Lo: []float64{36, 0}, Hi: []float64{60, 3}}, SACounts: []int{0, 1, 1, 1}, Size: 3},
 		{Box: microdata.Box{Lo: []float64{61, 2}, Hi: []float64{90, 3}}, SACounts: []int{1, 0, 2, 0}, Size: 3},
 	}
-	for i := range ecs {
-		ecs[i].BuildSAPrefix()
-	}
 	out["burel"] = struct {
 		snap *Snapshot
 		spec Spec
 	}{
-		snap: &Snapshot{
-			Kind:    KindGeneralized,
-			Schema:  schema,
-			Release: &anon.Release{Method: anon.MethodBUREL, Schema: schema, Rows: 9, ECs: ecs, AIL: 0.3125},
-			Index:   BuildIndex(schema, ecs, 8),
-		},
+		snap: mustSnapshot(t, &anon.Release{Method: anon.MethodBUREL, Schema: schema, Rows: 9, ECs: ecs, AIL: 0.3125}, 8),
 		spec: Spec{
 			Method:    anon.MethodBUREL,
 			Params:    anon.NewBURELParams(anon.BURELBeta(4), anon.BURELSeed(7)),
@@ -262,6 +255,129 @@ func TestSnapshotRoundTripBuiltRelease(t *testing.T) {
 	}
 }
 
+// TestServingSnapshotsHoldNoRowForms: every serving snapshot, built or
+// decoded, keeps the release header plus its kind's serving layout and
+// never a row form: ECs, Partition and Perturbed are nil on each.
+func TestServingSnapshotsHoldNoRowForms(t *testing.T) {
+	snaps := map[string]*Snapshot{}
+	for name, fx := range codecFixtures(t) {
+		snaps[name] = fx.snap
+		data, err := EncodeSnapshot(fx.snap, fx.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, data := range map[int][]byte{2: encodeSnapshotLegacy(t, fx.snap, fx.spec, 2), 3: data} {
+			if snaps[fmt.Sprintf("%s/v%d", name, v)], _, err = DecodeSnapshot(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tab := census.Generate(census.Options{N: 2000, Seed: 5}).Project(3)
+	snap, err := build(context.Background(), tab, burelSpec(4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps["built_burel"] = snap
+	for name, snap := range snaps {
+		if r := snap.Release; r.ECs != nil || r.Partition != nil || r.Perturbed != nil {
+			t.Errorf("%s: serving snapshot holds a row form (ECs %v, Partition %v, Perturbed %v)",
+				name, r.ECs != nil, r.Partition != nil, r.Perturbed != nil)
+		}
+	}
+}
+
+// TestSnapshotDecodeKeepsStoredECOrder: a version 3 decode keeps the EC
+// order its file stores, canonical or not, and answers with the bits of
+// the linear scan over that order. The file here stores a shuffle of
+// synthetic ECs, columns built straight from the rows.
+func TestSnapshotDecodeKeepsStoredECOrder(t *testing.T) {
+	schema := census.Schema().Project(3)
+	rng := rand.New(rand.NewSource(5))
+	ecs := SyntheticECs(schema, 400, rng)
+	rng.Shuffle(len(ecs), func(i, j int) { ecs[i], ecs[j] = ecs[j], ecs[i] })
+	ordered := slices.Clone(ecs)
+	hilbertOrder(schema, ordered)
+	if reflect.DeepEqual(ordered, ecs) {
+		t.Fatal("the shuffle is in Hilbert order; pick another seed")
+	}
+	cols, err := microdata.BuildECColumns(ecs, len(schema.QI), len(schema.SA.Values))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := &Snapshot{
+		Kind:    KindGeneralized,
+		Schema:  schema,
+		Release: &anon.Release{Method: anon.MethodBUREL, Schema: schema},
+		Index:   BuildIndex(schema, cols, 0),
+	}
+	data, err := EncodeSnapshot(stored, Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snap.Index.Columns(), cols) {
+		t.Fatal("decode reordered the stored ECs")
+	}
+	gen, err := query.NewGenerator(schema, 2, 0.05, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggs := []query.Aggregate{query.AggCount, query.AggSum, query.AggAvg, query.AggMin, query.AggMax}
+	for i := 0; i < 200; i++ {
+		q := gen.Next()
+		q.Agg = aggs[i%len(aggs)]
+		want := query.EstimateGeneralized(schema, ecs, q)
+		got, err := snap.Estimate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("query %d agg %v: decoded %v, linear scan in stored order %v", i, q.Agg, got, want)
+		}
+	}
+}
+
+// TestNewSnapshotRejectsOutOfRangeECs: where rows become columns, an EC
+// size or SA count the int32 columns (and the u32 wire columns) cannot
+// hold, or a row of the wrong shape, fails the build instead of being
+// truncated or persisted.
+func TestNewSnapshotRejectsOutOfRangeECs(t *testing.T) {
+	schema := codecSchema()
+	for name, mutate := range map[string]func(ec *microdata.PublishedEC){
+		"size past int32":       func(ec *microdata.PublishedEC) { ec.Size = math.MaxInt32 + 1 },
+		"negative size":         func(ec *microdata.PublishedEC) { ec.Size = -1 },
+		"count past int32":      func(ec *microdata.PublishedEC) { ec.SACounts[1] = math.MaxInt32 + 1 },
+		"negative count":        func(ec *microdata.PublishedEC) { ec.SACounts[1] = -1 },
+		"counts sum past int32": func(ec *microdata.PublishedEC) { ec.SACounts[0], ec.SACounts[1] = math.MaxInt32, math.MaxInt32 },
+		"box too narrow":        func(ec *microdata.PublishedEC) { ec.Box.Lo = ec.Box.Lo[:1] },
+		"SA domain too small":   func(ec *microdata.PublishedEC) { ec.SACounts = ec.SACounts[:3] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			ecs := []microdata.PublishedEC{
+				{Box: microdata.Box{Lo: []float64{10, 0}, Hi: []float64{35, 1}}, SACounts: []int{1, 1, 0, 0}, Size: 2},
+				{Box: microdata.Box{Lo: []float64{61, 2}, Hi: []float64{90, 3}}, SACounts: []int{0, 0, 1, 0}, Size: 1},
+			}
+			mutate(&ecs[1])
+			rel := &anon.Release{Method: anon.MethodBUREL, Schema: schema, Rows: 3, ECs: ecs}
+			if _, err := NewSnapshot(rel, 0); err == nil {
+				t.Fatal("NewSnapshot accepted the EC")
+			}
+		})
+	}
+	// A version 1/2 file's ECs become columns the same way: a malformed
+	// row there is corruption, never a panic.
+	fx := codecFixtures(t)["burel"]
+	legacy := mangleSection(t, encodeSnapshotLegacy(t, fx.snap, fx.spec, 2), 2, func(sec []byte) []byte {
+		return bytes.Replace(sec, []byte(`"lo":[10,0]`), []byte(`"lo":[10]`), 1)
+	})
+	if _, _, err := DecodeSnapshot(legacy); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("v2 EC box of the wrong width: %v, want ErrCorruptSnapshot", err)
+	}
+}
+
 // TestEncodePayloadExactSize: the binary column section is allocated at
 // its final length, so encoding never regrows it — on every fixture kind
 // and on built generalized and perturbed releases.
@@ -378,7 +494,7 @@ func TestSnapshotDecodeAcceptsLegacy(t *testing.T) {
 					if err != nil {
 						t.Fatalf("query %d against v%d decode: %v", qi, version, err)
 					}
-					if math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
+					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("query %d: v%d decode answers %v, original %v", qi, version, got, want)
 					}
 				}
@@ -444,7 +560,7 @@ func TestSnapshotDecodeV2Fixtures(t *testing.T) {
 				if err != nil {
 					t.Fatalf("query %d against frozen v2 decode: %v", qi, err)
 				}
-				if math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
+				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("query %d: frozen v2 decode answers %v, fresh fixture %v", qi, got, want)
 				}
 			}
@@ -548,25 +664,26 @@ func TestSnapshotDecodeRejectsInconsistentPayload(t *testing.T) {
 			})
 		}
 	}
-	// encodeMutatedBurel deep-copies the burel ECs, applies fn, and
+	// encodeMutatedBurel deep-copies the burel EC store, applies fn, and
 	// encodes the result: structurally sound wire bytes whose row data
 	// lies about itself.
-	encodeMutatedBurel := func(fn func(ecs []microdata.PublishedEC)) func(*testing.T) []byte {
+	encodeMutatedBurel := func(fn func(c *microdata.ECColumns)) func(*testing.T) []byte {
 		return func(t *testing.T) []byte {
 			fx := fxs["burel"]
-			ecs := make([]microdata.PublishedEC, len(fx.snap.Release.ECs))
-			for i, ec := range fx.snap.Release.ECs {
-				ecs[i] = microdata.PublishedEC{
-					Box:      microdata.Box{Lo: clone64(ec.Box.Lo), Hi: clone64(ec.Box.Hi)},
-					SACounts: append([]int(nil), ec.SACounts...),
-					Size:     ec.Size,
-				}
+			orig := fx.snap.Index.Columns()
+			c := microdata.NewECColumns(orig.N, orig.D, orig.M)
+			for d := range c.Lo {
+				copy(c.Lo[d], orig.Lo[d])
+				copy(c.Hi[d], orig.Hi[d])
 			}
-			fn(ecs)
-			rel := *fx.snap.Release
-			rel.ECs = ecs
+			copy(c.Sizes, orig.Sizes)
+			copy(c.SACounts, orig.SACounts)
+			if err := c.DerivePrefix(); err != nil {
+				t.Fatal(err)
+			}
+			fn(c)
 			snap := *fx.snap
-			snap.Release = &rel
+			snap.Index = BuildIndex(fx.snap.Schema, c, fx.spec.GridCells)
 			data, err := EncodeSnapshot(&snap, fx.spec)
 			if err != nil {
 				t.Fatal(err)
@@ -575,11 +692,11 @@ func TestSnapshotDecodeRejectsInconsistentPayload(t *testing.T) {
 		}
 	}
 	cases := map[string]func(*testing.T) []byte{
-		"ec size disagrees with counts": encodeMutatedBurel(func(ecs []microdata.PublishedEC) {
-			ecs[0].Size++
+		"ec size disagrees with counts": encodeMutatedBurel(func(c *microdata.ECColumns) {
+			c.Sizes[0]++
 		}),
-		"ec box inverted": encodeMutatedBurel(func(ecs []microdata.PublishedEC) {
-			ecs[0].Box.Lo[0] = ecs[0].Box.Hi[0] + 1
+		"ec box inverted": encodeMutatedBurel(func(c *microdata.ECColumns) {
+			c.Lo[0][0] = c.Hi[0][0] + 1
 		}),
 		"tuple outside domain": func(t *testing.T) []byte {
 			fx := fxs["anatomy_baseline"]
@@ -891,10 +1008,17 @@ func encodeSnapshotLegacy(t testing.TB, snap *Snapshot, spec Spec, version uint3
 	rel := snap.Release
 	switch snap.Kind {
 	case KindGeneralized:
-		p.ECs = make([]snapEC, len(rel.ECs))
-		for i := range rel.ECs {
-			ec := &rel.ECs[i]
-			p.ECs[i] = snapEC{Lo: ec.Box.Lo, Hi: ec.Box.Hi, SACounts: ec.SACounts, Size: ec.Size}
+		c := snap.Index.Columns()
+		p.ECs = make([]snapEC, c.N)
+		for i := range p.ECs {
+			ec := snapEC{Lo: make([]float64, c.D), Hi: make([]float64, c.D), SACounts: make([]int, c.M), Size: int(c.Sizes[i])}
+			for d := range ec.Lo {
+				ec.Lo[d], ec.Hi[d] = c.Lo[d][i], c.Hi[d][i]
+			}
+			for v := range ec.SACounts {
+				ec.SACounts[v] = int(c.SACounts[i*c.M+v])
+			}
+			p.ECs[i] = ec
 		}
 	case KindAnatomy:
 		switch {

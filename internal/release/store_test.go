@@ -5,13 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/anon"
 	"repro/internal/census"
+	"repro/internal/microdata"
 	"repro/internal/query"
 )
 
@@ -170,6 +173,56 @@ func TestStoreAllMethods(t *testing.T) {
 	if got := len(s.List()); got != len(specs) {
 		t.Fatalf("List returned %d releases, want %d", got, len(specs))
 	}
+}
+
+// TestStoreReleasesUploadedTable: once a build is ready and the caller
+// drops its table, nothing the store keeps pins it — a snapshot holds the
+// release header and its kind's serving layout, never the partition
+// behind a generalized release or the input table — so a GC reclaims the
+// table and its tuples, true SA values included. ℓ-diverse Anatomy is not
+// covered: its publication still holds the input table until it stores
+// only what Anatomy publishes (ROADMAP item 1).
+func TestStoreReleasesUploadedTable(t *testing.T) {
+	s := NewStore(1)
+	defer s.Close()
+	for _, spec := range []Spec{
+		burelSpec(4, 1),
+		{Method: anon.MethodSABRE, Params: anon.NewSABREParams(anon.SABRESeed(1))},
+		{Method: anon.MethodPerturb, Params: anon.NewPerturbParams(anon.PerturbBeta(4), anon.PerturbSeed(1))},
+		anatomySpec(0, 1),
+	} {
+		t.Run(spec.Method, func(t *testing.T) {
+			id, table, tuples := submitDropped(t, s, spec)
+			if m, err := s.WaitReady(id, 60*time.Second); err != nil || m.Status != StatusReady {
+				t.Fatalf("build: %+v, %v", m, err)
+			}
+			for i := 0; i < 3 && (table.Value() != nil || tuples.Value() != nil); i++ {
+				runtime.GC()
+			}
+			if table.Value() != nil || tuples.Value() != nil {
+				t.Fatal("the ready release still pins the uploaded table")
+			}
+			snap, err := s.Snapshot(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := snap.Estimate(fullDomainQuery(len(snap.Schema.SA.Values))); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// submitDropped submits a fresh table and keeps only weak pointers to it
+// and to its tuple array, so the caller holds no reference to either.
+func submitDropped(t *testing.T, s *Store, spec Spec) (string, weak.Pointer[microdata.Table], weak.Pointer[microdata.Tuple]) {
+	t.Helper()
+	tab := census.Generate(census.Options{N: 2000, Seed: 3}).Project(3)
+	m, err := s.Submit(context.Background(), tab, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.ID, weak.Make(tab), weak.Make(&tab.Tuples[0])
 }
 
 // TestStoreConcurrent exercises parallel builds and parallel queries

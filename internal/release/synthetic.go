@@ -51,10 +51,9 @@ func SyntheticSnapshot(schema *microdata.Schema, n int, rng *rand.Rand) *Snapsho
 	for i := range ecs {
 		rows += ecs[i].Size
 	}
-	return &Snapshot{
-		Kind:    KindGeneralized,
-		Schema:  schema,
-		Release: &anon.Release{Method: anon.MethodBUREL, Schema: schema, Rows: rows, ECs: ecs},
-		Index:   BuildIndex(schema, ecs, 0),
+	snap, err := NewSnapshot(&anon.Release{Method: anon.MethodBUREL, Schema: schema, Rows: rows, ECs: ecs}, 0)
+	if err != nil {
+		panic(err) // unreachable: synthetic ECs always fit the columns
 	}
+	return snap
 }

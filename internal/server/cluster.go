@@ -16,7 +16,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -84,7 +83,7 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 // release are 200s, first installs 201s — both terminal successes for
 // the shipping gateway.
 func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	body, err := edge.ReadBody(http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength)
 	if err != nil {
 		edge.WriteBodyErr(w, fmt.Errorf("reading envelope: %w", err))
 		return
