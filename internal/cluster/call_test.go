@@ -29,8 +29,8 @@ type seenRequest struct {
 }
 
 // fakeNode is a scripted cluster member: it answers /healthz with its
-// identity, hands every other request to its handler, and records what
-// the gateway sent.
+// identity, hands every other request, body included, to its handler,
+// and records what the gateway sent.
 type fakeNode struct {
 	id string
 	ts *httptest.Server
@@ -44,6 +44,7 @@ func newFakeNode(t *testing.T, id string, handle http.HandlerFunc) *fakeNode {
 	n := &fakeNode{id: id}
 	n.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
 		n.mu.Lock()
 		n.seen = append(n.seen, seenRequest{r.Method, r.URL.Path, r.Header.Get("Authorization"), r.Header.Get(api.HeaderRequestID), len(body)})
 		n.mu.Unlock()

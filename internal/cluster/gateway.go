@@ -166,12 +166,18 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mux.ServeHTTP(w, r)
 }
 
-// relay copies a node's buffered response to the client.
+// relay copies a node's buffered response to the client. An error
+// envelope's code goes to the gateway's retained trace, as if the
+// gateway had written it.
 func (g *Gateway) relay(w http.ResponseWriter, nr *nodeResponse) {
 	for _, h := range []string{"Content-Type", "Retry-After"} {
 		if v := nr.header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
+	}
+	var env api.Envelope
+	if nr.status >= 400 && json.Unmarshal(nr.body, &env) == nil {
+		edge.NoteErrCode(w, env.Error.Code)
 	}
 	w.WriteHeader(nr.status)
 	_, _ = w.Write(nr.body)
@@ -473,19 +479,21 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // subBatch is one scatter unit: a contiguous slice of the request's
-// queries bound for one replica.
+// queries, each as the client encoded it, bound for one replica.
 type subBatch struct {
 	start   int
-	queries []api.Query
+	queries [][]byte
 }
 
 // handleBatchQuery splits a batch across the release's live replicas,
 // dispatches the sub-batches concurrently to the least-loaded nodes, and
-// merges the answers back in request order. A sub-batch whose node dies
-// mid-flight fails over to the next live replica; only when every
-// candidate is gone does the batch fail.
+// splices the answers back in request order. The gateway decodes no
+// query and no answer: it forwards each query's bytes and relays each
+// result's. A sub-batch whose node dies mid-flight fails over to the
+// next live replica; only when every candidate is gone does the batch
+// fail.
 func (g *Gateway) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
-	req, ok := edge.DecodeBatch(w, r, g.maxBatchBody)
+	req, ok := edge.ReadBatch(w, r, g.maxBatchBody)
 	if !ok {
 		return
 	}
@@ -524,14 +532,17 @@ func (g *Gateway) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	endMerge := tr.StartSpan("gateway.merge")
 	mergeStart := time.Now()
 	defer func() { g.stages.Observe("gateway.merge", time.Since(mergeStart)); endMerge() }()
-	// The merged answer is gateway-built, so the edge request ID must be
-	// restated here — sub-batch responses carry it, but they are not
-	// relayed verbatim.
-	out := api.BatchQueryResponse{
-		RequestID: tr.RequestID,
-		ReleaseID: req.ReleaseID,
-		Results:   make([]api.QueryResult, len(req.Queries)),
+	// A query's type errors are left to the nodes. One decode of the
+	// whole batch refuses it before resolving the release, so a chunk's
+	// 400 invalid_request outranks every other chunk's outcome.
+	for _, oc := range outcomes {
+		if oc.bad != nil && invalidRequest(oc.bad) {
+			g.relay(w, oc.bad)
+			return
+		}
 	}
+	results := make([][]byte, 0, len(req.Queries))
+	hits := 0
 	for ci, oc := range outcomes {
 		if oc.bad != nil {
 			g.relayChunkErr(w, oc.bad, chunks[ci].start)
@@ -545,10 +556,19 @@ func (g *Gateway) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 			noLiveReplica(w, "batch")
 			return
 		}
-		copy(out.Results[chunks[ci].start:], oc.resp.Results)
-		out.CacheHits += oc.resp.CacheHits
+		results = append(results, oc.results...)
+		hits += oc.hits
 	}
-	edge.WriteJSON(w, http.StatusOK, out)
+	// The spliced answer is gateway-built, so the edge request ID must be
+	// restated here — sub-batch answers carry it, but not verbatim.
+	edge.WriteBatchAnswer(w, req.ReleaseID, tr.RequestID, results, hits)
+}
+
+// invalidRequest reports a node's 400 invalid_request.
+func invalidRequest(nr *nodeResponse) bool {
+	var env api.Envelope
+	return nr.status == http.StatusBadRequest &&
+		json.Unmarshal(nr.body, &env) == nil && env.Error.Code == api.CodeInvalidRequest
 }
 
 // relayChunkErr relays a sub-batch's conclusive non-2xx. A node names
@@ -567,6 +587,7 @@ func (g *Gateway) relayChunkErr(w http.ResponseWriter, nr *nodeResponse, start i
 			if rest, ok := strings.CutPrefix(env.Error.Message, fmt.Sprintf("query %d: ", i)); ok {
 				env.Error.Message = fmt.Sprintf("query %d: %s", i+start, rest)
 			}
+			edge.NoteErrCode(w, env.Error.Code)
 			edge.WriteJSON(w, nr.status, env)
 			return
 		}
@@ -574,25 +595,22 @@ func (g *Gateway) relayChunkErr(w http.ResponseWriter, nr *nodeResponse, start i
 	g.relay(w, nr)
 }
 
-// chunkOutcome is one sub-batch's result: exactly one field is set — the
-// merged answer, a conclusive non-2xx to relay, an all-candidates miss,
-// or a total failure.
+// chunkOutcome is one sub-batch's result: exactly one of results (the
+// node's encoded results, with its cache hits), a conclusive non-2xx to
+// relay, an all-candidates miss, or a total failure is set.
 type chunkOutcome struct {
-	resp *api.BatchQueryResponse
-	bad  *nodeResponse
-	miss *missTracker
-	err  error
+	results [][]byte
+	hits    int
+	bad     *nodeResponse
+	miss    *missTracker
+	err     error
 }
 
 // dispatchChunk sends one sub-batch, failing over through the candidate
 // list. Candidates are tried starting at a per-chunk offset so
 // concurrent chunks spread over distinct replicas.
 func (g *Gateway) dispatchChunk(r *http.Request, releaseID string, ch subBatch, candidates []*nodeState, offset int) (oc chunkOutcome) {
-	body, err := json.Marshal(api.BatchQueryRequest{ReleaseID: releaseID, Queries: ch.queries})
-	if err != nil {
-		oc.err = err
-		return oc
-	}
+	body := edge.BatchBody(releaseID, ch.queries)
 	tr := obs.TraceFrom(r.Context())
 	var misses missTracker
 	for i := 0; i < len(candidates); i++ {
@@ -623,12 +641,12 @@ func (g *Gateway) dispatchChunk(r *http.Request, releaseID string, ch subBatch, 
 			oc.bad = nr
 			return oc
 		}
-		var resp api.BatchQueryResponse
-		if err := json.Unmarshal(nr.body, &resp); err != nil || len(resp.Results) != len(ch.queries) {
+		results, hits, ok := edge.SplitBatchAnswer(nr.body)
+		if !ok || len(results) != len(ch.queries) {
 			g.failovers.Add(1)
 			continue // malformed answer; treat like a dead node
 		}
-		oc.resp = &resp
+		oc.results, oc.hits = results, hits
 		return oc
 	}
 	if misses.best != nil {

@@ -98,16 +98,17 @@ func TestFailoverTraceOneRequestID(t *testing.T) {
 		members[i] = cluster.Node{ID: nodes[i].id, URL: nodes[i].url()}
 	}
 	gwBuf := &syncBuffer{}
-	// Probes stay out of the way (hour-long cadence): the killed node's
-	// circuit breaker must still be closed when the traced query arrives,
-	// so the failover happens INSIDE the request and both attempts land
-	// in one trace.
+	// Probes and reconcile sweeps stay out of the way (hour-long
+	// cadences): either would open the killed node's circuit breaker, and
+	// it must still be closed when the traced query arrives, so the
+	// failover happens INSIDE the request and both attempts land in one
+	// trace. The gateway-proxied create's watch replicates the release.
 	gw, err := cluster.New(cluster.Options{
 		Nodes:             members,
 		Replication:       2,
 		Token:             testToken,
 		ProbeInterval:     time.Hour,
-		ReconcileInterval: 50 * time.Millisecond,
+		ReconcileInterval: time.Hour,
 		Logger:            obs.NewLogger(gwBuf, slog.LevelDebug),
 		SlowQuery:         time.Nanosecond,
 	})

@@ -121,29 +121,6 @@ func TestWriteBodyErr(t *testing.T) {
 	}
 }
 
-func TestDecodeBatch(t *testing.T) {
-	for _, tc := range []struct {
-		body   string
-		ok     bool
-		status int
-	}{
-		{`{"release_id":"r-000001","queries":[{"dims":[0],"lo":[1],"hi":[2]}]}`, true, http.StatusOK},
-		{`{"release_id":`, false, http.StatusBadRequest},
-		{`{"queries":[{}]}`, false, http.StatusBadRequest},
-		{`{"release_id":"r-000001","queries":[]}`, false, http.StatusBadRequest},
-		{`{"release_id":"r-000001","queries":[{}],"pad":"` + strings.Repeat("x", 256) + `"}`, false, http.StatusRequestEntityTooLarge},
-	} {
-		w := httptest.NewRecorder()
-		req, ok := DecodeBatch(w, httptest.NewRequest(http.MethodPost, "/v1/query:batch", strings.NewReader(tc.body)), 128)
-		if ok != tc.ok || w.Code != tc.status {
-			t.Errorf("%s: ok=%v status %d, want ok=%v %d (%s)", tc.body, ok, w.Code, tc.ok, tc.status, w.Body)
-		}
-		if ok && (req.ReleaseID != "r-000001" || len(req.Queries) != 1) {
-			t.Errorf("decoded %+v", req)
-		}
-	}
-}
-
 func TestEvaluateTarget(t *testing.T) {
 	mux := http.NewServeMux()
 	var got string

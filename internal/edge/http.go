@@ -28,9 +28,7 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 // the caller having captured the header. Under Wrap, the error code is
 // captured too, so the retained trace carries the failure class.
 func WriteErr(w http.ResponseWriter, status int, code string, err error, details map[string]any) {
-	if rec, ok := w.(*recorder); ok {
-		rec.errCode = code
-	}
+	NoteErrCode(w, code)
 	if id := w.Header().Get(obs.HeaderRequestID); id != "" {
 		if details == nil {
 			details = make(map[string]any, 1)
@@ -40,6 +38,15 @@ func WriteErr(w http.ResponseWriter, status int, code string, err error, details
 		}
 	}
 	WriteJSON(w, status, api.Envelope{Error: api.Error{Code: code, Message: err.Error(), Details: details}})
+}
+
+// NoteErrCode records code as the response's api error code for the
+// retained trace, as WriteErr does, for a handler that relays an error
+// envelope another process wrote.
+func NoteErrCode(w http.ResponseWriter, code string) {
+	if rec, ok := w.(*recorder); ok {
+		rec.errCode = code
+	}
 }
 
 // WriteBodyErr reports a failure to read or decode the request body: 413
@@ -87,29 +94,6 @@ func ReadBody(r io.Reader, size int64) ([]byte, error) {
 			return buf, err
 		}
 	}
-}
-
-// DecodeBatch reads a POST /v1/query:batch body of at most limit bytes
-// and checks its shape. On false the error envelope has been written.
-func DecodeBatch(w http.ResponseWriter, r *http.Request, limit int64) (api.BatchQueryRequest, bool) {
-	var req api.BatchQueryRequest
-	body, err := ReadBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength)
-	if err == nil {
-		err = json.Unmarshal(body, &req)
-	}
-	if err != nil {
-		WriteBodyErr(w, fmt.Errorf("decoding request: %w", err))
-		return req, false
-	}
-	if req.ReleaseID == "" {
-		WriteErr(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Errorf("release_id is required"), nil)
-		return req, false
-	}
-	if len(req.Queries) == 0 {
-		WriteErr(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Errorf("queries is empty"), nil)
-		return req, false
-	}
-	return req, true
 }
 
 // EvaluateTarget resolves POST /v1/releases/{action} to the release ID

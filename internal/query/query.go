@@ -356,25 +356,37 @@ func GroupCells(schema *microdata.Schema, q Query) []GroupCell {
 	for _, cells := range perDim {
 		total *= len(cells)
 	}
+	// Every cell's slices are carved from one backing array per field,
+	// each capped at the cell's own length so that no append through a
+	// cell can reach its neighbour's.
+	g := len(perDim)
+	nDims, nLo, nHi := len(q.Dims)+g, len(q.Lo)+g, len(q.Hi)+g
+	keyLo, keyHi := make([]float64, total*g), make([]float64, total*g)
+	dims := make([]int, total*nDims)
+	lo, hi := make([]float64, total*nLo), make([]float64, total*nHi)
 	out := make([]GroupCell, 0, total)
 	idx := make([]int, len(perDim))
-	for {
+	for c := 0; ; c++ {
 		gc := GroupCell{
-			Lo: make([]float64, len(perDim)),
-			Hi: make([]float64, len(perDim)),
+			Lo: keyLo[c*g : (c+1)*g : (c+1)*g],
+			Hi: keyHi[c*g : (c+1)*g : (c+1)*g],
 			Query: Query{
-				Dims: append(append([]int(nil), q.Dims...), q.GroupBy...),
-				Lo:   append([]float64(nil), q.Lo...),
-				Hi:   append([]float64(nil), q.Hi...),
+				Dims: dims[c*nDims : (c+1)*nDims : (c+1)*nDims],
+				Lo:   lo[c*nLo : (c+1)*nLo : (c+1)*nLo],
+				Hi:   hi[c*nHi : (c+1)*nHi : (c+1)*nHi],
 				SALo: q.SALo, SAHi: q.SAHi,
 				Agg: q.Agg,
 			},
 		}
+		copy(gc.Query.Dims, q.Dims)
+		copy(gc.Query.Dims[len(q.Dims):], q.GroupBy)
+		copy(gc.Query.Lo, q.Lo)
+		copy(gc.Query.Hi, q.Hi)
 		for i, cells := range perDim {
-			c := cells[idx[i]]
-			gc.Lo[i], gc.Hi[i] = c.keyLo, c.keyHi
-			gc.Query.Lo = append(gc.Query.Lo, c.qLo)
-			gc.Query.Hi = append(gc.Query.Hi, c.qHi)
+			dc := cells[idx[i]]
+			gc.Lo[i], gc.Hi[i] = dc.keyLo, dc.keyHi
+			gc.Query.Lo[len(q.Lo)+i] = dc.qLo
+			gc.Query.Hi[len(q.Hi)+i] = dc.qHi
 		}
 		out = append(out, gc)
 		// Odometer increment, last dimension fastest.

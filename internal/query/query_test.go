@@ -3,6 +3,7 @@ package query
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -336,5 +337,31 @@ func TestCanonical(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { c = Canonical(c) }); allocs != 0 {
 		t.Fatalf("canonical query allocates %v times", allocs)
+	}
+}
+
+// TestGroupCellsSlicesAreCapped: GroupCells carves every cell's slices
+// from shared arrays, yet an append through one cell leaves its
+// neighbour's predicates and keys as they were.
+func TestGroupCellsSlicesAreCapped(t *testing.T) {
+	schema := sample(t, 100, 3).Schema
+	q := Query{Dims: []int{2}, Lo: []float64{0}, Hi: []float64{3}, SAHi: 1, GroupBy: []int{0, 1}, GroupBuckets: []int{3, 2}}
+	cells := GroupCells(schema, q)
+	if len(cells) < 2 {
+		t.Fatalf("%d cells", len(cells))
+	}
+	next := cells[1]
+	want := []any{slices.Clone(next.Lo), slices.Clone(next.Hi), slices.Clone(next.Query.Dims), slices.Clone(next.Query.Lo), slices.Clone(next.Query.Hi)}
+	first := cells[0]
+	_ = append(first.Lo, -1)
+	_ = append(first.Hi, -1)
+	_ = append(first.Query.Dims, -1)
+	_ = append(first.Query.Lo, -1)
+	_ = append(first.Query.Hi, -1)
+	got := []any{next.Lo, next.Hi, next.Query.Dims, next.Query.Lo, next.Query.Hi}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("an append through cell 0 changed cell 1: %v, want %v", got[i], want[i])
+		}
 	}
 }

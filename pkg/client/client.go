@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -437,7 +438,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	if err != nil {
 		return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp.Body, resp.ContentLength)
 	resp.Body.Close()
 	if err != nil {
 		return nil, fmt.Errorf("client: reading %s %s response: %w", method, path, err)
@@ -472,6 +473,39 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		apiErr.Message = strings.TrimSpace(string(data))
 	}
 	return apiErr, nil
+}
+
+// maxBodyReserve caps the buffer readBody reserves from a declared
+// length before any byte arrives.
+const maxBodyReserve = 1 << 20
+
+// readBody reads a response body to EOF, as io.ReadAll does, into a
+// buffer that starts at min(size, 1 MiB)+1 bytes, size being the
+// declared Content-Length (-1 when unknown), and doubles as it fills: an
+// honest body of up to 1 MiB costs one allocation, and a false length
+// reserves at most 1 MiB+1. It restates the server's edge.ReadBody,
+// which pkg/ may not import.
+func readBody(r io.Reader, size int64) ([]byte, error) {
+	reserve := int64(512)
+	if size > 0 {
+		reserve = min(size, maxBodyReserve)
+	}
+	// One byte past the declared length lets the read that finds EOF land
+	// in the buffer instead of growing it.
+	buf := make([]byte, 0, reserve+1)
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, cap(buf))
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
 // sleep waits out one retry delay: the server's Retry-After when given,

@@ -1,12 +1,14 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -373,5 +375,45 @@ func TestRetryAfterHTTPDateHonored(t *testing.T) {
 	}
 	if res.Estimate != 7 || f.calls.Load() != 2 {
 		t.Fatalf("estimate %v after %d calls", res.Estimate, f.calls.Load())
+	}
+}
+
+// TestReadBody: an honest body of known length up to 1 MiB costs one
+// allocation, a false Content-Length reserves at most 1 MiB+1 bytes, and
+// an unknown or short length still reads the whole body.
+func TestReadBody(t *testing.T) {
+	for _, n := range []int{1, 511, 4096, maxBodyReserve} {
+		body := bytes.Repeat([]byte{'x'}, n)
+		rd := bytes.NewReader(body)
+		var got []byte
+		allocs := testing.AllocsPerRun(20, func() {
+			rd.Reset(body)
+			var err error
+			if got, err = readBody(rd, int64(n)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !bytes.Equal(got, body) {
+			t.Fatalf("%d-byte body read back as %d bytes", n, len(got))
+		}
+		if allocs != 1 {
+			t.Errorf("%d-byte body of declared length: %v allocations, want 1", n, allocs)
+		}
+	}
+
+	got, err := readBody(strings.NewReader("short"), 64<<20)
+	if err != nil || string(got) != "short" {
+		t.Fatalf("false length: %q, %v", got, err)
+	}
+	if cap(got) > maxBodyReserve+1 {
+		t.Fatalf("a false length reserved %d bytes, want at most %d", cap(got), maxBodyReserve+1)
+	}
+
+	body := bytes.Repeat([]byte("0123456789"), 300_000) // 3 MB, past the reserve
+	for _, size := range []int64{-1, 10, int64(len(body))} {
+		got, err := readBody(bytes.NewReader(body), size)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("declared %d: read %d of %d bytes, %v", size, len(got), len(body), err)
+		}
 	}
 }
