@@ -261,7 +261,9 @@ func (e *Engine) Stats() Stats {
 // ErrBatchTooLarge when the expansion exceeds the engine's unit budget.
 // Cache misses are deduplicated within the batch and fanned out across
 // the worker pool; a single miss is estimated inline on the caller's
-// goroutine, so single-query callers pay no handoff.
+// goroutine, so single-query callers pay no handoff. Once ctx is done no
+// further miss is estimated or sent to the pool: Execute waits for the
+// estimations already sent and returns ctx.Err().
 func (e *Engine) Execute(ctx context.Context, releaseID string, snap *release.Snapshot, qs []query.Query) ([]Result, error) {
 	if len(qs) > e.maxBatch {
 		return nil, fmt.Errorf("%w: %d queries > limit %d", ErrBatchTooLarge, len(qs), e.maxBatch)
@@ -380,19 +382,35 @@ func (e *Engine) Execute(ctx context.Context, releaseID string, snap *release.Sn
 	}
 
 	endEstimate := tr.StartSpan("engine.estimate")
+	var err error
 	switch len(misses) {
 	case 0:
 	case 1:
+		if err = ctx.Err(); err != nil {
+			break
+		}
 		m := misses[0]
 		start := time.Now()
 		m.est, m.err = snap.EstimateUnchecked(units[m.first], nil)
 		e.hEstimate.ObserveExemplar(time.Since(start), rid)
 	default:
+		// A cancelled batch stops feeding the pool, but waits for the
+		// jobs it already sent: they write into misses.
 		var wg sync.WaitGroup
-		wg.Add(len(misses))
 		fanStart := time.Now()
+	send:
 		for _, m := range misses {
-			e.jobs <- job{snap: snap, q: units[m.first], out: &m.est, err: &m.err, wg: &wg, enqueued: time.Now(), wait: &m.wait, rid: rid}
+			if err = ctx.Err(); err != nil {
+				break
+			}
+			wg.Add(1)
+			select {
+			case e.jobs <- job{snap: snap, q: units[m.first], out: &m.est, err: &m.err, wg: &wg, enqueued: time.Now(), wait: &m.wait, rid: rid}:
+			case <-ctx.Done():
+				wg.Done()
+				err = ctx.Err()
+				break send
+			}
 		}
 		wg.Wait()
 		if tr != nil {
@@ -409,6 +427,9 @@ func (e *Engine) Execute(ctx context.Context, releaseID string, snap *release.Sn
 		}
 	}
 	endEstimate()
+	if err != nil {
+		return nil, err
+	}
 
 	for _, m := range misses {
 		if m.err != nil {

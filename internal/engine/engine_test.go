@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/census"
@@ -326,6 +327,75 @@ func TestErrors(t *testing.T) {
 	e.Close() // idempotent
 	if _, err := e.Execute(context.Background(), "r-000001", snap, qs[:1]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed engine: %v", err)
+	}
+}
+
+// TestExecuteCancelled: a batch whose context is done returns the
+// context's error and estimates no unit it had not yet sent — before the
+// first unit, on the inline single-miss path, and while blocked sending
+// to a saturated pool — and the engine then serves the next batch.
+func TestExecuteCancelled(t *testing.T) {
+	snap, schema := syntheticSnapshot(10000, 31)
+	e := New(Options{Workers: 1, MaxBatch: 2000})
+	defer e.Close()
+	qs := genQueries(t, schema, 2000, 32)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, batch := range [][]query.Query{qs[:1], qs[:64]} {
+		if _, err := e.Execute(ctx, "r-000001", snap, batch); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%d-query batch under a cancelled context: %v", len(batch), err)
+		}
+	}
+	if n := e.hEstimate.Count(); n != 0 {
+		t.Fatalf("batches cancelled before they started estimated %d units", n)
+	}
+
+	// One worker and 2,000 distinct units of ~10k ECs each: the batch
+	// fills the job queue at once and then blocks sending to it.
+	ctx, cancel = context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Execute(ctx, "r-000001", snap, qs)
+		done <- err
+	}()
+	for e.QueueDepth() < cap(e.jobs) {
+		select {
+		case err := <-done:
+			t.Fatalf("batch ended (%v) before it filled the job queue", err)
+		default:
+			runtime.Gosched()
+		}
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("batch cancelled while blocked: %v", err)
+	}
+	ran := e.hEstimate.Count()
+	if ran >= uint64(len(qs)) {
+		t.Fatalf("cancelled batch estimated all %d units", ran)
+	}
+	if d := e.QueueDepth(); d != 0 {
+		t.Fatalf("%d jobs of the cancelled batch still queued after it returned", d)
+	}
+	if st := e.Stats(); st.Batches != 0 || st.CacheEntries != 0 {
+		t.Fatalf("cancelled batches counted %d batches and cached %d results", st.Batches, st.CacheEntries)
+	}
+
+	// The next batch is served in full, and estimates its own 64 units
+	// and nothing the cancelled batch left behind: the one worker takes
+	// jobs in order, so a leftover would run before these finish.
+	res, err := e.Execute(context.Background(), "r-000001", snap, qs[:64])
+	if err != nil {
+		t.Fatalf("batch after cancellations: %v", err)
+	}
+	if n := e.hEstimate.Count(); n != ran+64 {
+		t.Fatalf("next batch of 64 units brought the estimate count from %d to %d", ran, n)
+	}
+	for i, q := range qs[:64] {
+		if want, _ := snap.Estimate(q); res[i].Estimate != want || res[i].Cached {
+			t.Fatalf("query %d after cancellations: %v (cached %v), want %v", i, res[i].Estimate, res[i].Cached, want)
+		}
 	}
 }
 

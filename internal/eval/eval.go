@@ -118,7 +118,7 @@ func (p *Params) normalize(d int) error {
 // spec the release was built from. ctx cancels the job mid-attack. The
 // spec's QI projection is applied to tab, matching the build path.
 func Evaluate(ctx context.Context, tab *microdata.Table, snap *release.Snapshot, spec release.Spec, p Params) (*Verdict, error) {
-	if tab == nil || snap == nil || snap.Release == nil {
+	if tab == nil || snap == nil {
 		return nil, fmt.Errorf("eval: nil table or snapshot")
 	}
 	if err := spec.Normalize(); err != nil {
@@ -130,8 +130,8 @@ func Evaluate(ctx context.Context, tab *microdata.Table, snap *release.Snapshot,
 	if err := p.normalize(len(tab.Schema.QI)); err != nil {
 		return nil, err
 	}
-	if tab.Len() != snap.Release.Rows {
-		return nil, fmt.Errorf("eval: uploaded table has %d rows, release was built from %d", tab.Len(), snap.Release.Rows)
+	if tab.Len() != snap.Rows {
+		return nil, fmt.Errorf("eval: uploaded table has %d rows, release was built from %d", tab.Len(), snap.Rows)
 	}
 
 	// Re-run the recorded anonymization over the upload and insist the
@@ -152,7 +152,7 @@ func Evaluate(ctx context.Context, tab *microdata.Table, snap *release.Snapshot,
 	}
 
 	v := &Verdict{
-		Method: snap.Release.Method,
+		Method: snap.Method,
 		Kind:   string(snap.Kind),
 		Rows:   tab.Len(),
 		Seed:   p.Seed,
@@ -290,7 +290,6 @@ func median(xs []float64) float64 {
 // binary's method implementation changed — equally disqualifying for a
 // verdict claiming to describe the served artifact).
 func verifyRebuild(rebuilt *anon.Release, snap *release.Snapshot) error {
-	served := snap.Release
 	mismatch := func(what string) error {
 		return fmt.Errorf("eval: upload does not reproduce the release: %s differs (is this the original microdata?)", what)
 	}
@@ -317,11 +316,11 @@ func verifyRebuild(rebuilt *anon.Release, snap *release.Snapshot) error {
 		}
 	case release.KindAnatomy:
 		switch {
-		case served.LDiverse != nil:
+		case snap.LDiverse != nil:
 			if rebuilt.LDiverse == nil {
 				return mismatch("publication kind")
 			}
-			a, b := rebuilt.LDiverse, served.LDiverse
+			a, b := rebuilt.LDiverse, snap.LDiverse
 			if a.L != b.L || len(a.Groups) != len(b.Groups) || !reflect.DeepEqual(a.SACounts, b.SACounts) {
 				return mismatch("group structure")
 			}
@@ -333,14 +332,14 @@ func verifyRebuild(rebuilt *anon.Release, snap *release.Snapshot) error {
 			if !reflect.DeepEqual(a.Table.Tuples, b.Table.Tuples) {
 				return mismatch("published tuples")
 			}
-		case served.Baseline != nil:
+		case snap.Baseline != nil:
 			if rebuilt.Baseline == nil {
 				return mismatch("publication kind")
 			}
-			if !reflect.DeepEqual([]float64(rebuilt.Baseline.P), []float64(served.Baseline.P)) {
+			if !reflect.DeepEqual([]float64(rebuilt.Baseline.P), []float64(snap.Baseline.P)) {
 				return mismatch("published SA distribution")
 			}
-			if !reflect.DeepEqual(rebuilt.Baseline.Table.Tuples, served.Baseline.Table.Tuples) {
+			if !reflect.DeepEqual(rebuilt.Baseline.Table.Tuples, snap.Baseline.Table.Tuples) {
 				return mismatch("published tuples")
 			}
 		default:
@@ -350,10 +349,10 @@ func verifyRebuild(rebuilt *anon.Release, snap *release.Snapshot) error {
 		if rebuilt.Perturbed == nil || rebuilt.Scheme == nil {
 			return mismatch("publication kind")
 		}
-		if snap.Tuples == nil || served.Scheme == nil || served.Scheme.Model == nil || rebuilt.Scheme.Model == nil {
+		if snap.Tuples == nil || snap.Scheme == nil || snap.Scheme.Model == nil || rebuilt.Scheme.Model == nil {
 			return fmt.Errorf("eval: perturbed snapshot without tuples or scheme")
 		}
-		am, bm := rebuilt.Scheme.Model, served.Scheme.Model
+		am, bm := rebuilt.Scheme.Model, snap.Scheme.Model
 		if am.Beta != bm.Beta || !reflect.DeepEqual(am.P, bm.P) {
 			return mismatch("perturbation model")
 		}

@@ -57,13 +57,6 @@ func (e Evaluation) String() string {
 		e.Elapsed.Round(time.Millisecond))
 }
 
-// Timed runs f and returns its result along with the wall-clock duration.
-func Timed[T any](f func() T) (T, time.Duration) {
-	start := time.Now()
-	out := f()
-	return out, time.Since(start)
-}
-
 // Series is one labeled line of a figure: y-values over shared x-values.
 type Series struct {
 	Label string

@@ -77,19 +77,6 @@ func TestEvaluateMatchesComponents(t *testing.T) {
 	}
 }
 
-func TestTimed(t *testing.T) {
-	v, d := Timed(func() int {
-		time.Sleep(2 * time.Millisecond)
-		return 42
-	})
-	if v != 42 {
-		t.Fatalf("value = %d", v)
-	}
-	if d < time.Millisecond {
-		t.Fatalf("duration = %v", d)
-	}
-}
-
 func TestFigureRender(t *testing.T) {
 	f := Figure{
 		Title:  "demo",

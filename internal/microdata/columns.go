@@ -14,9 +14,9 @@ import (
 //
 // Arena layout: EC i's SA counts occupy SACounts[i*M : (i+1)*M]; its
 // exclusive prefix sums occupy SAPrefix[i*(M+1) : (i+1)*(M+1)] (plain)
-// and SAWPrefix (value-weighted), mirroring PublishedEC.BuildSAPrefix.
-// ECColumns is immutable once its prefix sums are derived and safe for
-// concurrent readers.
+// and SAWPrefix (value-weighted, Σ_{u<v} u·counts[u]). ECColumns is
+// immutable once its prefix sums are derived and safe for concurrent
+// readers.
 type ECColumns struct {
 	N int // number of ECs
 	D int // QI dimensions
@@ -117,8 +117,8 @@ func (c *ECColumns) DerivePrefix() error {
 	return nil
 }
 
-// clampSA mirrors the PublishedEC SA-range clamp: lo below the domain
-// rises to 0, hi past it drops to M-1; an inverted result means "empty".
+// clampSA clamps an SA index range to the domain: lo below it rises to
+// 0, hi past it drops to M-1; an inverted result means "empty".
 func (c *ECColumns) clampSA(lo, hi int) (int, int) {
 	if lo < 0 {
 		lo = 0
@@ -129,27 +129,8 @@ func (c *ECColumns) clampSA(lo, hi int) (int, int) {
 	return lo, hi
 }
 
-// SARangeCount is PublishedEC.SARangeCount over the arenas.
-func (c *ECColumns) SARangeCount(i, lo, hi int) int {
-	lo, hi = c.clampSA(lo, hi)
-	if lo > hi {
-		return 0
-	}
-	base := i * (c.M + 1)
-	return int(c.SAPrefix[base+hi+1] - c.SAPrefix[base+lo])
-}
-
-// SARangeSum is PublishedEC.SARangeSum over the arenas.
-func (c *ECColumns) SARangeSum(i, lo, hi int) int64 {
-	lo, hi = c.clampSA(lo, hi)
-	if lo > hi {
-		return 0
-	}
-	base := i * (c.M + 1)
-	return c.SAWPrefix[base+hi+1] - c.SAWPrefix[base+lo]
-}
-
-// SARangeMin is PublishedEC.SARangeMin over the arenas.
+// SARangeMin returns the smallest SA index in [lo, hi] (clamped) with a
+// nonzero count in EC i, or -1 when the EC has no tuple in the range.
 func (c *ECColumns) SARangeMin(i, lo, hi int) int {
 	lo, hi = c.clampSA(lo, hi)
 	base := i * c.M
@@ -161,7 +142,8 @@ func (c *ECColumns) SARangeMin(i, lo, hi int) int {
 	return -1
 }
 
-// SARangeMax is PublishedEC.SARangeMax over the arenas.
+// SARangeMax returns the largest SA index in [lo, hi] (clamped) with a
+// nonzero count in EC i, or -1 when the EC has no tuple in the range.
 func (c *ECColumns) SARangeMax(i, lo, hi int) int {
 	lo, hi = c.clampSA(lo, hi)
 	base := i * c.M

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestECColumnsMatchesRowForm drives the columnar SA accessors against the
-// PublishedEC row methods over every (lo, hi) pair, including out-of-domain
-// and inverted ranges, so the arena clamping semantics cannot drift from
-// the row form the linear estimator uses.
+// TestECColumnsMatchesRowForm copies random ECs into columns and holds
+// every column, the prefix arenas and the SA range accessors to a
+// brute-force fold of the row form's counts over every (lo, hi) pair,
+// including out-of-domain and inverted ranges.
 func TestECColumnsMatchesRowForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const m, d = 5, 3
@@ -31,7 +31,6 @@ func TestECColumnsMatchesRowForm(t *testing.T) {
 		if ec.Size == 0 {
 			ec.SACounts[0], ec.Size = 1, 1
 		}
-		ec.BuildSAPrefix()
 		ecs[i] = ec
 	}
 	cols, err := BuildECColumns(ecs, d, m)
@@ -51,19 +50,37 @@ func TestECColumnsMatchesRowForm(t *testing.T) {
 		if int(cols.Sizes[i]) != ec.Size {
 			t.Fatalf("EC %d size %d, want %d", i, cols.Sizes[i], ec.Size)
 		}
+		pfx := cols.SAPrefix[i*(m+1) : (i+1)*(m+1)]
+		wpfx := cols.SAWPrefix[i*(m+1) : (i+1)*(m+1)]
 		for lo := -2; lo <= m+1; lo++ {
 			for hi := -2; hi <= m+1; hi++ {
-				if got, want := cols.SARangeCount(i, lo, hi), ec.SARangeCount(lo, hi); got != want {
-					t.Fatalf("EC %d count[%d,%d]: %d, want %d", i, lo, hi, got, want)
+				n, wsum, vmin, vmax := 0, int64(0), -1, -1
+				for v, c := range ec.SACounts {
+					if v < lo || v > hi {
+						continue
+					}
+					n += c
+					wsum += int64(v) * int64(c)
+					if c > 0 {
+						if vmin == -1 {
+							vmin = v
+						}
+						vmax = v
+					}
 				}
-				if got, want := cols.SARangeSum(i, lo, hi), ec.SARangeSum(lo, hi); got != want {
-					t.Fatalf("EC %d sum[%d,%d]: %d, want %d", i, lo, hi, got, want)
+				if clo, chi := max(lo, 0), min(hi, m-1); clo <= chi {
+					if got := int(pfx[chi+1] - pfx[clo]); got != n {
+						t.Fatalf("EC %d prefix count[%d,%d]: %d, want %d", i, lo, hi, got, n)
+					}
+					if got := wpfx[chi+1] - wpfx[clo]; got != wsum {
+						t.Fatalf("EC %d prefix sum[%d,%d]: %d, want %d", i, lo, hi, got, wsum)
+					}
 				}
-				if got, want := cols.SARangeMin(i, lo, hi), ec.SARangeMin(lo, hi); got != want {
-					t.Fatalf("EC %d min[%d,%d]: %d, want %d", i, lo, hi, got, want)
+				if got := cols.SARangeMin(i, lo, hi); got != vmin {
+					t.Fatalf("EC %d min[%d,%d]: %d, want %d", i, lo, hi, got, vmin)
 				}
-				if got, want := cols.SARangeMax(i, lo, hi), ec.SARangeMax(lo, hi); got != want {
-					t.Fatalf("EC %d max[%d,%d]: %d, want %d", i, lo, hi, got, want)
+				if got := cols.SARangeMax(i, lo, hi); got != vmax {
+					t.Fatalf("EC %d max[%d,%d]: %d, want %d", i, lo, hi, got, vmax)
 				}
 			}
 		}

@@ -150,129 +150,13 @@ func (p *Partition) MinECSize() int {
 }
 
 // PublishedEC is one row group of the released table: the generalized QI
-// region plus the multiset of SA values (counts indexed by SA value).
+// region plus the multiset of SA values (counts indexed by SA value). It
+// is plain data; the reference estimators of internal/query fold its
+// counts, and the serving layer's summaries live in ECColumns.
 type PublishedEC struct {
 	Box      Box
 	SACounts []int
 	Size     int
-
-	// SAPrefix caches the exclusive prefix sums of SACounts
-	// (SAPrefix[i] = Σ_{j<i} SACounts[j], length len(SACounts)+1), making
-	// SA-range counting O(1). Publish fills it; hand-built values may
-	// leave it nil and SARangeCount falls back to summing.
-	SAPrefix []int
-
-	// SAWPrefix caches the exclusive value-weighted prefix sums
-	// (SAWPrefix[i] = Σ_{j<i} j·SACounts[j]), making SA-range SUM — the
-	// total of SA value indices over the EC's in-range tuples — O(1)
-	// alongside the plain counts. Built together with SAPrefix.
-	SAWPrefix []int64
-}
-
-// BuildSAPrefix (re)computes the cached prefix sums (plain and
-// value-weighted) from SACounts. Call it after constructing or mutating a
-// PublishedEC by hand.
-func (e *PublishedEC) BuildSAPrefix() {
-	if cap(e.SAPrefix) < len(e.SACounts)+1 {
-		e.SAPrefix = make([]int, len(e.SACounts)+1)
-	} else {
-		e.SAPrefix = e.SAPrefix[:len(e.SACounts)+1]
-	}
-	if cap(e.SAWPrefix) < len(e.SACounts)+1 {
-		e.SAWPrefix = make([]int64, len(e.SACounts)+1)
-	} else {
-		e.SAWPrefix = e.SAWPrefix[:len(e.SACounts)+1]
-	}
-	sum := 0
-	var wsum int64
-	e.SAPrefix[0], e.SAWPrefix[0] = 0, 0
-	for i, c := range e.SACounts {
-		sum += c
-		wsum += int64(i) * int64(c)
-		e.SAPrefix[i+1] = sum
-		e.SAWPrefix[i+1] = wsum
-	}
-}
-
-// SARangeCount returns the number of the EC's tuples whose SA index falls
-// in [lo, hi], clamped to the domain. O(1) when SAPrefix is built,
-// O(hi−lo) otherwise. An empty or inverted range counts zero.
-func (e *PublishedEC) SARangeCount(lo, hi int) int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi >= len(e.SACounts) {
-		hi = len(e.SACounts) - 1
-	}
-	if lo > hi {
-		return 0
-	}
-	if len(e.SAPrefix) == len(e.SACounts)+1 {
-		return e.SAPrefix[hi+1] - e.SAPrefix[lo]
-	}
-	cnt := 0
-	for i := lo; i <= hi; i++ {
-		cnt += e.SACounts[i]
-	}
-	return cnt
-}
-
-// SARangeSum returns the sum of SA value indices over the EC's tuples
-// whose SA index falls in [lo, hi], clamped to the domain — the SUM
-// aggregate's per-EC contribution under ordinal SA semantics. O(1) when
-// SAWPrefix is built, O(hi−lo) otherwise.
-func (e *PublishedEC) SARangeSum(lo, hi int) int64 {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi >= len(e.SACounts) {
-		hi = len(e.SACounts) - 1
-	}
-	if lo > hi {
-		return 0
-	}
-	if len(e.SAWPrefix) == len(e.SACounts)+1 {
-		return e.SAWPrefix[hi+1] - e.SAWPrefix[lo]
-	}
-	var sum int64
-	for i := lo; i <= hi; i++ {
-		sum += int64(i) * int64(e.SACounts[i])
-	}
-	return sum
-}
-
-// SARangeMin returns the smallest SA index in [lo, hi] (clamped) with
-// nonzero count in the EC, or -1 when the EC has no tuple in the range.
-func (e *PublishedEC) SARangeMin(lo, hi int) int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi >= len(e.SACounts) {
-		hi = len(e.SACounts) - 1
-	}
-	for v := lo; v <= hi; v++ {
-		if e.SACounts[v] > 0 {
-			return v
-		}
-	}
-	return -1
-}
-
-// SARangeMax returns the largest SA index in [lo, hi] (clamped) with
-// nonzero count in the EC, or -1 when the EC has no tuple in the range.
-func (e *PublishedEC) SARangeMax(lo, hi int) int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi >= len(e.SACounts) {
-		hi = len(e.SACounts) - 1
-	}
-	for v := hi; v >= lo; v-- {
-		if e.SACounts[v] > 0 {
-			return v
-		}
-	}
-	return -1
 }
 
 // Publish converts the partition into its release form. For categorical
@@ -293,9 +177,7 @@ func (p *Partition) Publish() []PublishedEC {
 				}
 			}
 		}
-		ec := PublishedEC{Box: b, SACounts: g.SACounts(p.Table), Size: g.Len()}
-		ec.BuildSAPrefix()
-		out = append(out, ec)
+		out = append(out, PublishedEC{Box: b, SACounts: g.SACounts(p.Table), Size: g.Len()})
 	}
 	return out
 }

@@ -249,8 +249,8 @@ func TestPublishWidensCategorical(t *testing.T) {
 	if pub[0].Box.Lo[1] != 0 || pub[0].Box.Hi[1] != 3 {
 		t.Fatalf("categorical box not widened: %+v", pub[0].Box)
 	}
-	if pub[0].SACounts[0] != 1 || pub[0].SACounts[1] != 1 {
-		t.Fatalf("SACounts = %v", pub[0].SACounts)
+	if pub[0].SACounts[0] != 1 || pub[0].SACounts[1] != 1 || pub[0].Size != 2 {
+		t.Fatalf("SACounts = %v, size %d", pub[0].SACounts, pub[0].Size)
 	}
 	if !strings.Contains(pub[0].String(), "size=2") {
 		t.Errorf("String() = %q", pub[0].String())
@@ -370,48 +370,5 @@ func TestSortECsBySize(t *testing.T) {
 	}
 	if p.ECs[1].Rows[0] != 3 || p.ECs[2].Rows[0] != 4 {
 		t.Fatal("tie-break by first row failed")
-	}
-}
-
-func TestSARangeCountPrefix(t *testing.T) {
-	ec := PublishedEC{SACounts: []int{3, 0, 5, 2, 7}, Size: 17}
-	// Fallback path (no prefix built) and prefix path must agree on every
-	// range, including clamped and inverted ones.
-	type rng struct{ lo, hi int }
-	ranges := []rng{{0, 4}, {1, 3}, {2, 2}, {-5, 10}, {4, 4}, {3, 1}, {5, 9}, {-3, -1}}
-	naive := make([]int, len(ranges))
-	for i, r := range ranges {
-		naive[i] = ec.SARangeCount(r.lo, r.hi)
-	}
-	ec.BuildSAPrefix()
-	if len(ec.SAPrefix) != len(ec.SACounts)+1 {
-		t.Fatalf("SAPrefix length %d, want %d", len(ec.SAPrefix), len(ec.SACounts)+1)
-	}
-	for i, r := range ranges {
-		if got := ec.SARangeCount(r.lo, r.hi); got != naive[i] {
-			t.Errorf("range [%d,%d]: prefix %d != naive %d", r.lo, r.hi, got, naive[i])
-		}
-	}
-	if got := ec.SARangeCount(0, 4); got != 17 {
-		t.Errorf("full range = %d, want 17", got)
-	}
-	if got := ec.SARangeCount(2, 3); got != 7 {
-		t.Errorf("[2,3] = %d, want 7", got)
-	}
-}
-
-func TestPublishBuildsSAPrefix(t *testing.T) {
-	tb := NewTable(testSchema(t))
-	for i := 0; i < 6; i++ {
-		tb.MustAppend(Tuple{QI: []float64{float64(i * 10), 0}, SA: i % 2})
-	}
-	p := &Partition{Table: tb, ECs: []EC{{Rows: []int{0, 1, 2}}, {Rows: []int{3, 4, 5}}}}
-	for _, ec := range p.Publish() {
-		if len(ec.SAPrefix) != len(ec.SACounts)+1 {
-			t.Fatalf("Publish did not build SAPrefix: %v", ec.SAPrefix)
-		}
-		if ec.SAPrefix[len(ec.SAPrefix)-1] != ec.Size {
-			t.Fatalf("prefix total %d != size %d", ec.SAPrefix[len(ec.SAPrefix)-1], ec.Size)
-		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"encoding/hex"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -279,31 +278,6 @@ func (t *Trace) Records() []SpanRecord {
 		}
 	}
 	return out
-}
-
-// Breakdown renders the spans as one compact human-grepable string:
-// "stage1=1.2ms stage2[n2]=340µs ...", in start order.
-func (t *Trace) Breakdown() string {
-	spans := t.Spans()
-	if len(spans) == 0 {
-		return ""
-	}
-	var out strings.Builder
-	out.Grow(len(spans) * 24)
-	for i, sp := range spans {
-		if i > 0 {
-			out.WriteByte(' ')
-		}
-		out.WriteString(sp.Stage)
-		if sp.Node != "" {
-			out.WriteByte('[')
-			out.WriteString(sp.Node)
-			out.WriteByte(']')
-		}
-		out.WriteByte('=')
-		out.WriteString(sp.Dur.Round(time.Microsecond).String())
-	}
-	return out.String()
 }
 
 // traceKey is the context key Trace travels under.

@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"net/http"
-	"strings"
 	"testing"
 	"time"
 )
@@ -127,10 +126,6 @@ func TestTraceSpans(t *testing.T) {
 	if len(recs) != 2 || recs[1].OffsetMicros < recs[0].OffsetMicros {
 		t.Fatalf("records not offset-ordered: %+v", recs)
 	}
-	bd := tr.Breakdown()
-	if !strings.Contains(bd, "outer=") || !strings.Contains(bd, "subbatch[n2]=") {
-		t.Fatalf("breakdown %q misses stages", bd)
-	}
 }
 
 func TestNilTraceIsNoOp(t *testing.T) {
@@ -139,7 +134,7 @@ func TestNilTraceIsNoOp(t *testing.T) {
 	tr.StartSpanNode("y", "n")()
 	tr.AddSpan("z", "", time.Now(), time.Second)
 	tr.SetRelease("r")
-	if tr.Spans() != nil || tr.ReleaseID() != "" || tr.Breakdown() != "" {
+	if tr.Spans() != nil || tr.ReleaseID() != "" {
 		t.Fatal("nil trace should be inert")
 	}
 }

@@ -457,23 +457,11 @@ func ExactAgg(t *microdata.Table, q Query) float64 {
 // bounding box, so each EC contributes (QI-box overlap fraction) × (its
 // in-SA-range mass) — the intersection estimator of §6.2, extended to
 // the full aggregate set. COUNT weighs each EC's in-range tuple count,
-// SUM its value-weighted count (the SAWPrefix sums), AVG divides the
-// two, and MIN/MAX take the extreme in-range SA index with support among
-// overlapping ECs (the overlap fraction scales mass, not membership, so
-// any EC with frac > 0 contributes its full in-range support).
+// SUM its in-range SA index sum, AVG divides the two, and MIN/MAX take
+// the extreme in-range SA index with support among overlapping ECs (the
+// overlap fraction scales mass, not membership, so any EC with frac > 0
+// contributes its full in-range support).
 func EstimateGeneralized(schema *microdata.Schema, pub []microdata.PublishedEC, q Query) float64 {
-	if q.Agg.IsCount() {
-		est := 0.0
-		for i := range pub {
-			ec := &pub[i]
-			frac := OverlapFraction(schema, ec.Box, q)
-			if frac == 0 {
-				continue
-			}
-			est += frac * float64(ec.SARangeCount(q.SALo, q.SAHi))
-		}
-		return est
-	}
 	var cnt, sum float64
 	min, max := -1, -1
 	for i := range pub {
@@ -482,23 +470,42 @@ func EstimateGeneralized(schema *microdata.Schema, pub []microdata.PublishedEC, 
 		if frac == 0 {
 			continue
 		}
-		switch q.Agg {
-		case AggSum:
-			sum += frac * float64(ec.SARangeSum(q.SALo, q.SAHi))
-		case AggAvg:
-			cnt += frac * float64(ec.SARangeCount(q.SALo, q.SAHi))
-			sum += frac * float64(ec.SARangeSum(q.SALo, q.SAHi))
-		case AggMin:
-			if v := ec.SARangeMin(q.SALo, q.SAHi); v >= 0 && (min == -1 || v < min) {
-				min = v
-			}
-		case AggMax:
-			if v := ec.SARangeMax(q.SALo, q.SAHi); v > max {
-				max = v
-			}
+		n, wsum, lo, hi := saRange(ec.SACounts, q.SALo, q.SAHi)
+		cnt += frac * float64(n)
+		sum += frac * float64(wsum)
+		if lo >= 0 && (min == -1 || lo < min) {
+			min = lo
+		}
+		if hi > max {
+			max = hi
 		}
 	}
 	return FinishAgg(q.Agg, cnt, sum, min, max)
+}
+
+// saRange folds one SA multiset (counts indexed by SA value) over the
+// inclusive index range [lo, hi], clamped to the domain: n is the
+// in-range tuple count, wsum the sum of their SA indices, and min and
+// max the smallest and largest in-range index with a positive count (-1
+// when there is none). An empty or inverted range folds to nothing. It
+// is the one SA fold of the reference estimators over published groups.
+func saRange(counts []int, lo, hi int) (n int, wsum int64, min, max int) {
+	min, max = -1, -1
+	if lo < 0 {
+		lo = 0
+	}
+	for v := lo; v <= hi && v < len(counts); v++ {
+		c := counts[v]
+		n += c
+		wsum += int64(v) * int64(c)
+		if c > 0 {
+			if min == -1 {
+				min = v
+			}
+			max = v
+		}
+	}
+	return n, wsum, min, max
 }
 
 // FinishAgg folds the per-release accumulators into the aggregate's
@@ -657,22 +664,15 @@ func EstimateLDiverse(pub *anatomy.LDiversePublication, q Query) float64 {
 		if matches == 0 {
 			continue
 		}
-		inRange, wInRange := 0, int64(0)
-		for v := q.SALo; v <= q.SAHi && v < len(pub.SACounts[gi]); v++ {
-			c := pub.SACounts[gi][v]
-			inRange += c
-			wInRange += int64(v) * int64(c)
-			if c > 0 {
-				if min == -1 || v < min {
-					min = v
-				}
-				if v > max {
-					max = v
-				}
-			}
+		n, wsum, lo, hi := saRange(pub.SACounts[gi], q.SALo, q.SAHi)
+		cnt += float64(matches) * float64(n) / float64(len(g.Rows))
+		sum += float64(matches) * float64(wsum) / float64(len(g.Rows))
+		if lo >= 0 && (min == -1 || lo < min) {
+			min = lo
 		}
-		cnt += float64(matches) * float64(inRange) / float64(len(g.Rows))
-		sum += float64(matches) * float64(wInRange) / float64(len(g.Rows))
+		if hi > max {
+			max = hi
+		}
 	}
 	return FinishAgg(q.Agg, cnt, sum, min, max)
 }

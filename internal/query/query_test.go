@@ -170,6 +170,36 @@ func TestEstimateGeneralizedMassConservation(t *testing.T) {
 	}
 }
 
+// TestSARange pins the reference estimators' one SA fold: count, index
+// sum and support bounds over in-domain, clamped, inverted and
+// out-of-domain ranges, and ranges whose edges hold zero counts.
+func TestSARange(t *testing.T) {
+	counts := []int{3, 0, 5, 2, 7}
+	for _, c := range []struct {
+		lo, hi, n int
+		wsum      int64
+		min, max  int
+	}{
+		{0, 4, 17, 44, 0, 4},
+		{1, 3, 7, 16, 2, 3},
+		{2, 2, 5, 10, 2, 2},
+		{4, 4, 7, 28, 4, 4},
+		{1, 2, 5, 10, 2, 2},
+		{1, 1, 0, 0, -1, -1},
+		{-5, 10, 17, 44, 0, 4},
+		{-5, 2, 8, 10, 0, 2},
+		{3, 1, 0, 0, -1, -1},
+		{5, 9, 0, 0, -1, -1},
+		{-3, -1, 0, 0, -1, -1},
+	} {
+		n, wsum, lo, hi := saRange(counts, c.lo, c.hi)
+		if n != c.n || wsum != c.wsum || lo != c.min || hi != c.max {
+			t.Errorf("saRange [%d,%d] = (%d, %d, %d, %d), want (%d, %d, %d, %d)",
+				c.lo, c.hi, n, wsum, lo, hi, c.n, c.wsum, c.min, c.max)
+		}
+	}
+}
+
 // TestMedianRelativeErrorGeneralized: BUREL's published output answers a
 // workload with bounded median error, better than a single-EC publication.
 func TestMedianRelativeErrorGeneralized(t *testing.T) {

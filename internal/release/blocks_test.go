@@ -39,9 +39,6 @@ func TestTupleBlocksSkip(t *testing.T) {
 	if rel.Perturbed == nil {
 		t.Fatal("NewSnapshot cleared the caller's table")
 	}
-	if owner.Release.Perturbed != nil {
-		t.Fatal("serving snapshot holds the row table beside its blocks")
-	}
 	data, err := EncodeSnapshot(owner, Spec{Method: anon.MethodPerturb})
 	if err != nil {
 		t.Fatal(err)
@@ -49,9 +46,6 @@ func TestTupleBlocksSkip(t *testing.T) {
 	decoded, _, err := DecodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if decoded.Release.Perturbed != nil {
-		t.Fatal("decoded snapshot holds a row table")
 	}
 	if !reflect.DeepEqual(owner.Tuples, decoded.Tuples) {
 		t.Fatal("owner-built and decoded snapshots hold different blocks")

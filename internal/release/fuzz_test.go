@@ -20,11 +20,11 @@ import (
 // its candidates' terms in ascending EC index, the order the linear scan
 // walks, and forms each term as query.OverlapFraction does, so even
 // COUNT, SUM and AVG, whose float sums depend on order, must agree to the
-// last bit. The two implementations share only the per-EC SA range
-// primitives, so a bug in the bitset directory, the candidate AND (λ>2
+// last bit. The two implementations share no SA range code — the linear
+// scan folds each EC's counts, the index reads the column store's prefix
+// arenas — so a bug in the bitset directory, the candidate AND (λ>2
 // queries below fold three or more predicates), the per-EC term, the
-// value-weighted prefix sums, or the SA-only prefix-sum path surfaces as
-// a divergence.
+// prefix sums, or the SA-only prefix-sum path surfaces as a divergence.
 func FuzzEstimateEquivalence(f *testing.F) {
 	// Seed corpus spanning the structural knobs: dimension counts, mixes
 	// of numeric/categorical attributes, point boxes, tiny and larger

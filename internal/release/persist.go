@@ -178,13 +178,13 @@ func (s *Store) recoverReady(submitted, rec *manifestRecord) {
 	// lacks the build-derived fields; the snapshot itself can supply
 	// them. No-ops when the recorded Meta decoded intact.
 	if meta.Rows == 0 {
-		meta.Rows = snap.Release.Rows
+		meta.Rows = snap.Rows
 	}
 	if meta.NumECs == 0 {
 		meta.NumECs = snap.NumECs()
 	}
 	if meta.AIL == 0 {
-		meta.AIL = snap.AIL()
+		meta.AIL = snap.AIL
 	}
 	if meta.ReadyAt.IsZero() {
 		meta.ReadyAt = rec.Time

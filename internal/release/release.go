@@ -23,7 +23,9 @@ import (
 	"time"
 
 	"repro/anon"
+	"repro/internal/anatomy"
 	"repro/internal/microdata"
+	"repro/internal/perturb"
 	"repro/internal/query"
 )
 
@@ -169,41 +171,48 @@ type Meta struct {
 // Snapshot is the immutable queryable payload of a ready release: the
 // release header plus the serving-side layout its kind's estimator reads
 // — the grid index over the EC columns of a generalized release, the
-// tuple blocks of a perturbed one, the publication of an Anatomy one.
+// tuple blocks and calibrated scheme of a perturbed one, the publication
+// of an Anatomy one. It holds no row form of a generalized release's ECs
+// or of a perturbed release's tuples, and never the pre-publication
+// partition.
 // All fields are read-only after build; Estimate is safe for concurrent
 // use.
 type Snapshot struct {
 	Kind   Kind
 	Schema *microdata.Schema
 
-	// Release is the header of the method's output (Method, Schema, Rows,
-	// AIL) plus what the estimator reads outside the layouts below: the
-	// scheme of a perturbed release, the publication of an Anatomy one.
-	// ECs, Partition and Perturbed are always nil: Index and Tuples hold
-	// the one copy of the published ECs and tuples.
-	Release *anon.Release
+	// Method is the anon registry name of the producing method, Rows the
+	// input table size, and AIL the average information loss of a
+	// generalized release (0 for other kinds).
+	Method string
+	Rows   int
+	AIL    float64
 
 	// Index is the serving-side grid index over a generalized release's
 	// EC store (Index.Columns).
 	Index *ECIndex
 
-	// Tuples is the block layout of a perturbed release's tuples.
+	// Tuples is the block layout of a perturbed release's tuples, and
+	// Scheme the calibrated mechanism that reconstructs estimates from
+	// them.
 	Tuples *TupleBlocks
+	Scheme *perturb.Scheme
+
+	// Baseline or LDiverse is an Anatomy release's publication.
+	Baseline *anatomy.Publication
+	LDiverse *anatomy.LDiversePublication
 }
 
 // NewSnapshot wraps a method's release in its serving form, building the
 // EC store and its grid index for generalized payloads and the canonical
 // tuple blocks for perturbed ones. gridCells overrides the index's
-// per-dimension resolution (0 = auto). The snapshot keeps the release's
-// header and what its kind's estimator reads, never the pre-publication
-// partition or the input table. The release is only read, except that a
-// generalized release's ECs are put into canonical order in place.
+// per-dimension resolution (0 = auto). The release is only read, except
+// that a generalized release's ECs are put into canonical order in place.
 func NewSnapshot(rel *anon.Release, gridCells int) (*Snapshot, error) {
 	if rel == nil || rel.Schema == nil {
 		return nil, fmt.Errorf("release: nil release")
 	}
-	header := &anon.Release{Method: rel.Method, Schema: rel.Schema, Rows: rel.Rows, AIL: rel.AIL}
-	s := &Snapshot{Schema: rel.Schema, Release: header}
+	s := &Snapshot{Schema: rel.Schema, Method: rel.Method, Rows: rel.Rows, AIL: rel.AIL}
 	switch {
 	case rel.ECs != nil:
 		s.Kind = KindGeneralized
@@ -214,15 +223,14 @@ func NewSnapshot(rel *anon.Release, gridCells int) (*Snapshot, error) {
 		s.Index = BuildIndex(rel.Schema, cols, gridCells)
 	case rel.Baseline != nil || rel.LDiverse != nil:
 		s.Kind = KindAnatomy
-		header.Baseline, header.LDiverse = rel.Baseline, rel.LDiverse
+		s.Baseline, s.LDiverse = rel.Baseline, rel.LDiverse
 	case rel.Perturbed != nil && rel.Scheme != nil:
 		s.Kind = KindPerturbed
 		tb, err := tableBlocks(rel.Perturbed)
 		if err != nil {
 			return nil, err
 		}
-		s.Tuples = tb
-		header.Scheme = rel.Scheme
+		s.Tuples, s.Scheme = tb, rel.Scheme
 	default:
 		return nil, fmt.Errorf("release: method %q produced no queryable payload", rel.Method)
 	}
@@ -249,20 +257,11 @@ func build(ctx context.Context, t *microdata.Table, spec Spec) (*Snapshot, error
 
 // NumECs returns the number of published groups, 0 for kinds without them.
 func (s *Snapshot) NumECs() int {
-	if s.Index != nil {
+	switch {
+	case s.Index != nil:
 		return s.Index.NumECs()
-	}
-	if s.Release != nil {
-		return s.Release.NumECs()
-	}
-	return 0
-}
-
-// AIL returns the average information loss of a generalized release, 0
-// for other kinds.
-func (s *Snapshot) AIL() float64 {
-	if s.Release != nil {
-		return s.Release.AIL
+	case s.LDiverse != nil:
+		return len(s.LDiverse.Groups)
 	}
 	return 0
 }
@@ -301,12 +300,12 @@ func (s *Snapshot) EstimateUnchecked(q query.Query, sc *Scratch) (float64, error
 		}
 		return s.Index.Estimate(q), nil
 	case KindAnatomy:
-		if s.Release.LDiverse != nil {
-			return query.EstimateLDiverse(s.Release.LDiverse, q), nil
+		if s.LDiverse != nil {
+			return query.EstimateLDiverse(s.LDiverse, q), nil
 		}
-		return query.EstimateBaseline(s.Release.Baseline, q)
+		return query.EstimateBaseline(s.Baseline, q)
 	case KindPerturbed:
-		return s.Tuples.Estimate(s.Release.Scheme, q)
+		return s.Tuples.Estimate(s.Scheme, q)
 	}
 	return 0, fmt.Errorf("release: kind %q is not queryable", s.Kind)
 }

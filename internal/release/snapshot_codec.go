@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/anon"
 	"repro/internal/anatomy"
 	"repro/internal/durable"
 	"repro/internal/hierarchy"
@@ -131,8 +130,8 @@ type snapSchema struct {
 	SAValues []string   `json:"sa_values"`
 }
 
-// snapEC is one published equivalence class; SAPrefix is derived state
-// and rebuilt on decode.
+// snapEC is one published equivalence class of a version 1/2 payload;
+// its SA prefix sums are derived state, rebuilt on decode.
 type snapEC struct {
 	Lo       []float64 `json:"lo"`
 	Hi       []float64 `json:"hi"`
@@ -185,14 +184,14 @@ func corrupt(format string, args ...any) error {
 // a decoded snapshot can be re-registered with full metadata and so the
 // grid index is rebuilt at the resolution the release was served at.
 func EncodeSnapshot(snap *Snapshot, spec Spec) ([]byte, error) {
-	if snap == nil || snap.Schema == nil || snap.Release == nil {
+	if snap == nil || snap.Schema == nil {
 		return nil, fmt.Errorf("release: encode of nil snapshot")
 	}
 	header, err := json.Marshal(snapHeader{
 		Kind:   snap.Kind,
-		Method: snap.Release.Method,
-		Rows:   snap.Release.Rows,
-		AIL:    snap.Release.AIL,
+		Method: snap.Method,
+		Rows:   snap.Rows,
+		AIL:    snap.AIL,
 	})
 	if err != nil {
 		return nil, err
@@ -224,7 +223,6 @@ func EncodeSnapshot(snap *Snapshot, spec Spec) ([]byte, error) {
 // length, so the column appenders never regrow it.
 func encodePayload(snap *Snapshot) (*snapPayload, []byte, error) {
 	p := &snapPayload{Schema: encodeSchema(snap.Schema)}
-	rel := snap.Release
 	var columns []byte
 	var err error
 	switch snap.Kind {
@@ -240,8 +238,8 @@ func encodePayload(snap *Snapshot) (*snapPayload, []byte, error) {
 	case KindAnatomy:
 		var tab *microdata.Table
 		switch {
-		case rel.LDiverse != nil:
-			pub := rel.LDiverse
+		case snap.LDiverse != nil:
+			pub := snap.LDiverse
 			tab = pub.Table
 			p.Groups = make([][]int, len(pub.Groups))
 			for i := range pub.Groups {
@@ -249,9 +247,9 @@ func encodePayload(snap *Snapshot) (*snapPayload, []byte, error) {
 			}
 			p.GroupSACounts = pub.SACounts
 			p.L = pub.L
-		case rel.Baseline != nil:
-			tab = rel.Baseline.Table
-			p.P = rel.Baseline.P
+		case snap.Baseline != nil:
+			tab = snap.Baseline.Table
+			p.P = snap.Baseline.P
 		default:
 			return nil, nil, fmt.Errorf("release: anatomy snapshot without publication")
 		}
@@ -264,10 +262,10 @@ func encodePayload(snap *Snapshot) (*snapPayload, []byte, error) {
 			return nil, nil, err
 		}
 	case KindPerturbed:
-		if snap.Tuples == nil || rel.Scheme == nil || rel.Scheme.Model == nil {
+		if snap.Tuples == nil || snap.Scheme == nil || snap.Scheme.Model == nil {
 			return nil, nil, fmt.Errorf("release: perturbed snapshot without tuples or scheme")
 		}
-		m := rel.Scheme.Model
+		m := snap.Scheme.Model
 		p.Model = &snapModel{
 			Beta:          m.Beta,
 			Variant:       m.Variant.String(),
@@ -437,8 +435,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, Spec, error) {
 		}
 	}
 
-	rel := &anon.Release{Method: header.Method, Schema: schema, Rows: header.Rows, AIL: header.AIL}
-	snap := &Snapshot{Kind: header.Kind, Schema: schema, Release: rel}
+	snap := &Snapshot{Kind: header.Kind, Schema: schema, Method: header.Method, Rows: header.Rows, AIL: header.AIL}
 	switch header.Kind {
 	case KindGeneralized:
 		cols := binECs
@@ -457,14 +454,14 @@ func DecodeSnapshot(data []byte) (*Snapshot, Spec, error) {
 		if binECs != nil {
 			return nil, Spec{}, corrupt("anatomy snapshot carries an EC block")
 		}
-		if err := decodeAnatomy(&payload, tuples, schema, rel); err != nil {
+		if err := decodeAnatomy(&payload, tuples, schema, snap); err != nil {
 			return nil, Spec{}, err
 		}
 	case KindPerturbed:
 		if binECs != nil {
 			return nil, Spec{}, corrupt("perturbed snapshot carries an EC block")
 		}
-		if snap.Tuples, err = decodePerturbed(&payload, tuples, schema, rel); err != nil {
+		if err := decodePerturbed(&payload, tuples, schema, snap); err != nil {
 			return nil, Spec{}, err
 		}
 	default:
@@ -774,7 +771,8 @@ func decodeTable(in *tupleCols, schema *microdata.Schema) (*microdata.Table, err
 	return t, nil
 }
 
-func decodeAnatomy(p *snapPayload, tuples *tupleCols, schema *microdata.Schema, rel *anon.Release) error {
+// decodeAnatomy rebuilds an Anatomy release's publication into snap.
+func decodeAnatomy(p *snapPayload, tuples *tupleCols, schema *microdata.Schema, snap *Snapshot) error {
 	t, err := decodeTable(tuples, schema)
 	if err != nil {
 		return err
@@ -790,7 +788,7 @@ func decodeAnatomy(p *snapPayload, tuples *tupleCols, schema *microdata.Schema, 
 				return corrupt("baseline P[%d] = %v", i, v)
 			}
 		}
-		rel.Baseline = &anatomy.Publication{Table: t, P: p.P}
+		snap.Baseline = &anatomy.Publication{Table: t, P: p.P}
 		return nil
 	}
 	if p.L < 2 {
@@ -840,34 +838,34 @@ func decodeAnatomy(p *snapPayload, tuples *tupleCols, schema *microdata.Schema, 
 			return corrupt("row %d belongs to no group", r)
 		}
 	}
-	rel.LDiverse = pub
+	snap.LDiverse = pub
 	return nil
 }
 
 // decodePerturbed rebuilds a perturbed release's scheme and its tuple
-// blocks. The columns keep their stored order — only the build orders
-// rows — and the block summaries are derived from them.
-func decodePerturbed(p *snapPayload, tuples *tupleCols, schema *microdata.Schema, rel *anon.Release) (*TupleBlocks, error) {
+// blocks into snap. The columns keep their stored order — only the build
+// orders rows — and the block summaries are derived from them.
+func decodePerturbed(p *snapPayload, tuples *tupleCols, schema *microdata.Schema, snap *Snapshot) error {
 	if tuples == nil {
-		return nil, corrupt("payload is missing its tuples")
+		return corrupt("payload is missing its tuples")
 	}
 	if err := tuples.check(schema); err != nil {
-		return nil, err
+		return err
 	}
 	if p.Model == nil {
-		return nil, corrupt("perturbed payload without model")
+		return corrupt("perturbed payload without model")
 	}
 	m := len(schema.SA.Values)
 	if len(p.Model.P) != m {
-		return nil, corrupt("model P has %d entries, domain %d", len(p.Model.P), m)
+		return corrupt("model P has %d entries, domain %d", len(p.Model.P), m)
 	}
 	for i, v := range p.Model.P {
 		if !isFinite(v) || v < 0 || v > 1 {
-			return nil, corrupt("model P[%d] = %v", i, v)
+			return corrupt("model P[%d] = %v", i, v)
 		}
 	}
 	if !(p.Model.Beta > 0) || !isFinite(p.Model.Beta) {
-		return nil, corrupt("model β = %v", p.Model.Beta)
+		return corrupt("model β = %v", p.Model.Beta)
 	}
 	var variant likeness.Variant
 	switch p.Model.Variant {
@@ -876,7 +874,7 @@ func decodePerturbed(p *snapPayload, tuples *tupleCols, schema *microdata.Schema
 	case "basic":
 		variant = likeness.Basic
 	default:
-		return nil, corrupt("unknown model variant %q", p.Model.Variant)
+		return corrupt("unknown model variant %q", p.Model.Variant)
 	}
 	model := &likeness.Model{
 		Beta:          p.Model.Beta,
@@ -886,10 +884,10 @@ func decodePerturbed(p *snapPayload, tuples *tupleCols, schema *microdata.Schema
 	}
 	scheme, err := perturb.NewSchemeFromModel(model, m)
 	if err != nil {
-		return nil, corrupt("rebuilding perturbation scheme: %v", err)
+		return corrupt("rebuilding perturbation scheme: %v", err)
 	}
-	rel.Scheme = scheme
-	return newTupleBlocks(m, tuples.qi, tuples.sa), nil
+	snap.Scheme, snap.Tuples = scheme, newTupleBlocks(m, tuples.qi, tuples.sa)
+	return nil
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -175,11 +175,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if got.Kind != fx.snap.Kind {
 				t.Fatalf("kind %q, want %q", got.Kind, fx.snap.Kind)
 			}
-			if got.Release.Method != fx.snap.Release.Method {
-				t.Fatalf("method %q, want %q", got.Release.Method, fx.snap.Release.Method)
+			if got.Method != fx.snap.Method {
+				t.Fatalf("method %q, want %q", got.Method, fx.snap.Method)
 			}
-			if got.Release.Rows != fx.snap.Release.Rows || got.Release.AIL != fx.snap.Release.AIL {
-				t.Fatalf("rows/ail %d/%v, want %d/%v", got.Release.Rows, got.Release.AIL, fx.snap.Release.Rows, fx.snap.Release.AIL)
+			if got.Rows != fx.snap.Rows || got.AIL != fx.snap.AIL {
+				t.Fatalf("rows/ail %d/%v, want %d/%v", got.Rows, got.AIL, fx.snap.Rows, fx.snap.AIL)
 			}
 			if got.NumECs() != fx.snap.NumECs() {
 				t.Fatalf("num ECs %d, want %d", got.NumECs(), fx.snap.NumECs())
@@ -255,37 +255,6 @@ func TestSnapshotRoundTripBuiltRelease(t *testing.T) {
 	}
 }
 
-// TestServingSnapshotsHoldNoRowForms: every serving snapshot, built or
-// decoded, keeps the release header plus its kind's serving layout and
-// never a row form: ECs, Partition and Perturbed are nil on each.
-func TestServingSnapshotsHoldNoRowForms(t *testing.T) {
-	snaps := map[string]*Snapshot{}
-	for name, fx := range codecFixtures(t) {
-		snaps[name] = fx.snap
-		data, err := EncodeSnapshot(fx.snap, fx.spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v, data := range map[int][]byte{2: encodeSnapshotLegacy(t, fx.snap, fx.spec, 2), 3: data} {
-			if snaps[fmt.Sprintf("%s/v%d", name, v)], _, err = DecodeSnapshot(data); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	tab := census.Generate(census.Options{N: 2000, Seed: 5}).Project(3)
-	snap, err := build(context.Background(), tab, burelSpec(4, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps["built_burel"] = snap
-	for name, snap := range snaps {
-		if r := snap.Release; r.ECs != nil || r.Partition != nil || r.Perturbed != nil {
-			t.Errorf("%s: serving snapshot holds a row form (ECs %v, Partition %v, Perturbed %v)",
-				name, r.ECs != nil, r.Partition != nil, r.Perturbed != nil)
-		}
-	}
-}
-
 // TestSnapshotDecodeKeepsStoredECOrder: a version 3 decode keeps the EC
 // order its file stores, canonical or not, and answers with the bits of
 // the linear scan over that order. The file here stores a shuffle of
@@ -305,10 +274,10 @@ func TestSnapshotDecodeKeepsStoredECOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	stored := &Snapshot{
-		Kind:    KindGeneralized,
-		Schema:  schema,
-		Release: &anon.Release{Method: anon.MethodBUREL, Schema: schema},
-		Index:   BuildIndex(schema, cols, 0),
+		Kind:   KindGeneralized,
+		Schema: schema,
+		Method: anon.MethodBUREL,
+		Index:  BuildIndex(schema, cols, 0),
 	}
 	data, err := EncodeSnapshot(stored, Spec{})
 	if err != nil {
@@ -700,7 +669,7 @@ func TestSnapshotDecodeRejectsInconsistentPayload(t *testing.T) {
 		}),
 		"tuple outside domain": func(t *testing.T) []byte {
 			fx := fxs["anatomy_baseline"]
-			orig := fx.snap.Release.Baseline
+			orig := fx.snap.Baseline
 			tab := microdata.NewTable(fx.snap.Schema)
 			for _, tp := range orig.Table.Tuples {
 				tab.Tuples = append(tab.Tuples, microdata.Tuple{QI: clone64(tp.QI), SA: tp.SA})
@@ -708,10 +677,8 @@ func TestSnapshotDecodeRejectsInconsistentPayload(t *testing.T) {
 			tab.Tuples[0].QI[0] = 230 // age domain tops out at 90
 			pub := *orig
 			pub.Table = tab
-			rel := *fx.snap.Release
-			rel.Baseline = &pub
 			snap := *fx.snap
-			snap.Release = &rel
+			snap.Baseline = &pub
 			data, err := EncodeSnapshot(&snap, fx.spec)
 			if err != nil {
 				t.Fatal(err)
@@ -836,7 +803,7 @@ func TestSnapshotSchemeRebuildExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig, dec := fx.snap.Release.Scheme, got.Release.Scheme
+	orig, dec := fx.snap.Scheme, got.Scheme
 	if len(orig.Alpha) != len(dec.Alpha) {
 		t.Fatalf("alpha lengths %d vs %d", len(orig.Alpha), len(dec.Alpha))
 	}
@@ -896,14 +863,12 @@ func TestSnapshotDecodeToleratesUnresolvableSpec(t *testing.T) {
 // consistent, but an incomplete partition silently undercounts.
 func TestSnapshotDecodeRejectsPartialGroupCoverage(t *testing.T) {
 	fx := codecFixtures(t)["anatomy_ldiverse"]
-	orig := fx.snap.Release.LDiverse
+	orig := fx.snap.LDiverse
 	partial := *orig
 	partial.Groups = orig.Groups[1:]
 	partial.SACounts = orig.SACounts[1:]
-	rel := *fx.snap.Release
-	rel.LDiverse = &partial
 	snap := *fx.snap
-	snap.Release = &rel
+	snap.LDiverse = &partial
 	data, err := EncodeSnapshot(&snap, fx.spec)
 	if err != nil {
 		t.Fatal(err)
@@ -993,9 +958,9 @@ func encodeSnapshotLegacy(t testing.TB, snap *Snapshot, spec Spec, version uint3
 	t.Helper()
 	header, err := json.Marshal(snapHeader{
 		Kind:   snap.Kind,
-		Method: snap.Release.Method,
-		Rows:   snap.Release.Rows,
-		AIL:    snap.Release.AIL,
+		Method: snap.Method,
+		Rows:   snap.Rows,
+		AIL:    snap.AIL,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1005,7 +970,6 @@ func encodeSnapshotLegacy(t testing.TB, snap *Snapshot, spec Spec, version uint3
 		t.Fatal(err)
 	}
 	p := &snapPayload{Schema: encodeSchema(snap.Schema)}
-	rel := snap.Release
 	switch snap.Kind {
 	case KindGeneralized:
 		c := snap.Index.Columns()
@@ -1022,8 +986,8 @@ func encodeSnapshotLegacy(t testing.TB, snap *Snapshot, spec Spec, version uint3
 		}
 	case KindAnatomy:
 		switch {
-		case rel.LDiverse != nil:
-			pub := rel.LDiverse
+		case snap.LDiverse != nil:
+			pub := snap.LDiverse
 			p.Tuples = encodeTuples(pub.Table)
 			p.Groups = make([][]int, len(pub.Groups))
 			for i := range pub.Groups {
@@ -1031,9 +995,9 @@ func encodeSnapshotLegacy(t testing.TB, snap *Snapshot, spec Spec, version uint3
 			}
 			p.GroupSACounts = pub.SACounts
 			p.L = pub.L
-		case rel.Baseline != nil:
-			p.Tuples = encodeTuples(rel.Baseline.Table)
-			p.P = rel.Baseline.P
+		case snap.Baseline != nil:
+			p.Tuples = encodeTuples(snap.Baseline.Table)
+			p.P = snap.Baseline.P
 		}
 	case KindPerturbed:
 		tb := snap.Tuples
@@ -1045,7 +1009,7 @@ func encodeSnapshotLegacy(t testing.TB, snap *Snapshot, spec Spec, version uint3
 			}
 			p.Tuples.SA[i] = int(tb.SA[i])
 		}
-		m := rel.Scheme.Model
+		m := snap.Scheme.Model
 		p.Model = &snapModel{
 			Beta:          m.Beta,
 			Variant:       m.Variant.String(),

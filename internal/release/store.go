@@ -368,7 +368,7 @@ func (s *Store) RegisterAs(id string, snap *Snapshot, spec Spec) (meta Meta, cre
 // their kind: such a payload would not fail at registration but as a nil
 // dereference on a query worker goroutine, taking down the whole process.
 func checkRegistrable(snap *Snapshot) error {
-	if snap == nil || snap.Schema == nil || snap.Release == nil {
+	if snap == nil || snap.Schema == nil {
 		return fmt.Errorf("release: nil snapshot")
 	}
 	switch snap.Kind {
@@ -377,11 +377,11 @@ func checkRegistrable(snap *Snapshot) error {
 			return fmt.Errorf("release: generalized snapshot without index")
 		}
 	case KindAnatomy:
-		if snap.Release.Baseline == nil && snap.Release.LDiverse == nil {
+		if snap.Baseline == nil && snap.LDiverse == nil {
 			return fmt.Errorf("release: anatomy snapshot without publication")
 		}
 	case KindPerturbed:
-		if snap.Tuples == nil || snap.Release.Scheme == nil {
+		if snap.Tuples == nil || snap.Scheme == nil {
 			return fmt.Errorf("release: perturbed snapshot without tuples or scheme")
 		}
 	default:
@@ -429,9 +429,9 @@ func (s *Store) register(id string, snap *Snapshot, spec Spec) (Meta, bool, erro
 			Version:   s.version,
 			Spec:      spec,
 			Status:    StatusReady,
-			Rows:      snap.Release.Rows,
+			Rows:      snap.Rows,
 			NumECs:    snap.NumECs(),
-			AIL:       snap.AIL(),
+			AIL:       snap.AIL,
 			CreatedAt: now,
 			ReadyAt:   now,
 		},
@@ -518,7 +518,7 @@ func (s *Store) runBuild(rec *record) {
 		meta.Status = StatusReady
 		meta.ReadyAt = time.Now().UTC()
 		meta.NumECs = snap.NumECs()
-		meta.AIL = snap.AIL()
+		meta.AIL = snap.AIL
 		if s.man != nil {
 			err = s.finishDurable(&meta, snap)
 		}

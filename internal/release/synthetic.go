@@ -36,9 +36,7 @@ func SyntheticECs(schema *microdata.Schema, n int, rng *rand.Rand) []microdata.P
 			counts[rng.Intn(m)]++
 			size++
 		}
-		ec := microdata.PublishedEC{Box: microdata.Box{Lo: lo, Hi: hi}, SACounts: counts, Size: size}
-		ec.BuildSAPrefix()
-		ecs[i] = ec
+		ecs[i] = microdata.PublishedEC{Box: microdata.Box{Lo: lo, Hi: hi}, SACounts: counts, Size: size}
 	}
 	return ecs
 }

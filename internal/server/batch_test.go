@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -205,6 +207,51 @@ func TestErrorMatrix(t *testing.T) {
 		}
 		if tc.code == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") == "" {
 			t.Errorf("%s: 503 without Retry-After", tc.name)
+		}
+	}
+}
+
+// TestCancelledBatchIs503: a batch whose request context is cancelled
+// before it is estimated answers 503 unavailable with Retry-After, not
+// 500 internal, and the node answers the same batch once a live request
+// sends it.
+func TestCancelledBatchIs503(t *testing.T) {
+	store := release.NewStore(1)
+	defer store.Close()
+	srv, err := New(store, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	snap := release.SyntheticSnapshot(census.Schema().Project(3), 500, rand.New(rand.NewSource(3)))
+	meta, err := store.Register(snap, release.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(api.BatchQueryRequest{ReleaseID: meta.ID, Queries: []api.Query{{SALo: 0, SAHi: 3}, {SALo: 1, SAHi: 4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, live := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		if !live {
+			cancel()
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query:batch", bytes.NewReader(body)).WithContext(ctx))
+		cancel()
+		if live {
+			if rec.Code != http.StatusOK {
+				t.Fatalf("live batch: %d %s", rec.Code, rec.Body)
+			}
+			continue
+		}
+		var env api.Envelope
+		if rec.Code != http.StatusServiceUnavailable || json.Unmarshal(rec.Body.Bytes(), &env) != nil || env.Error.Code != api.CodeUnavailable {
+			t.Fatalf("cancelled batch: %d %s, want 503 %s", rec.Code, rec.Body, api.CodeUnavailable)
+		}
+		if rec.Header().Get("Retry-After") == "" {
+			t.Fatal("cancelled batch: 503 without Retry-After")
 		}
 	}
 }

@@ -355,7 +355,9 @@ func executeErr(w http.ResponseWriter, err error) {
 		edge.WriteErr(w, http.StatusBadRequest, api.CodeInvalidQuery, err, map[string]any{"query": qe.Index})
 	case errors.Is(err, engine.ErrBatchTooLarge):
 		edge.WriteErr(w, http.StatusRequestEntityTooLarge, api.CodeTooLarge, err, nil)
-	case errors.Is(err, engine.ErrClosed):
+	case errors.Is(err, engine.ErrClosed), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		// A closing engine or a batch cut by its request's context is not
+		// the release's fault: the batch may be retried as sent.
 		w.Header().Set("Retry-After", "1")
 		edge.WriteErr(w, http.StatusServiceUnavailable, api.CodeUnavailable, err, nil)
 	default:
