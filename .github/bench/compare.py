@@ -4,8 +4,11 @@
     python3 .github/bench/compare.py BENCHMARK.json summaries.tsv
 
 Prints, per workload, each end-to-end metric's base and head medians,
-the change, the metric's bound and a verdict, then every failure, and
-exits 1 if there is one. Head fails when, on any workload:
+the change, the metric's bound, how many seed-matched pairs head won
+(ties count for neither side) and a verdict, then every failure, and
+exits 1 if there is one. The pair count informs a claimed gain, which
+must win nine in ten pairs; it decides no verdict. Head fails when, on
+any workload:
 
 - a head run errored (non-zero exit, or no summary line);
 - a head run reports correct: false;
@@ -20,20 +23,20 @@ import sys
 
 
 def load(lines):
-    """Returns {(workload, side): [(exit status, summary or None)]}."""
+    """Returns {(workload, side): [(seed, exit status, summary or None)]}."""
     runs = {}
     for line in lines:
         line = line.rstrip("\n")
         if not line:
             continue
-        workload, side, _seed, rc, raw = line.split("\t", 4)
+        workload, side, seed, rc, raw = line.split("\t", 4)
         try:
             summary = json.loads(raw)
         except ValueError:
             summary = None
         if not isinstance(summary, dict) or "correct" not in summary:
             summary = None
-        runs.setdefault((workload, side), []).append((int(rc), summary))
+        runs.setdefault((workload, side), []).append((seed, int(rc), summary))
     return runs
 
 
@@ -59,33 +62,44 @@ def judge(metric, base, head, head_runs):
     return b, h, change, None
 
 
+def pair_wins(metric, base, head):
+    """Returns how many seed-matched pairs head won and how many there
+    were: base and head are the metric's values as (seed, value) pairs."""
+    b = dict(base)
+    pairs = [(b[seed], h) for seed, h in head if seed in b]
+    sign = 1 if metric["better"] == "higher" else -1
+    return sum(1 for bv, hv in pairs if sign * (hv - bv) > 0), len(pairs)
+
+
 def compare(spec, runs):
     """Returns the report lines and the failures."""
     out, failures = [], []
     for w in (x["name"] for x in spec["workloads"]):
-        base = [s for rc, s in runs.get((w, "base"), []) if rc == 0 and s]
+        base = [(seed, s) for seed, rc, s in runs.get((w, "base"), []) if rc == 0 and s]
         head_runs = runs.get((w, "head"), [])
-        head = [s for rc, s in head_runs if rc == 0 and s]
+        head = [(seed, s) for seed, rc, s in head_runs if rc == 0 and s]
         if not head_runs:
             failures.append(f"{w}: no head run")
-        for i, (rc, s) in enumerate(head_runs):
+        for i, (_, rc, s) in enumerate(head_runs):
             if rc != 0 or s is None:
                 failures.append(f"{w}: head run {i + 1} errored (exit {rc})")
             elif s["correct"] is not True:
                 failures.append(f"{w}: head run {i + 1} reports correct: false")
-        b_share, b_ops = failed_share(base)
-        h_share, h_ops = failed_share(head)
+        b_share, b_ops = failed_share([s for _, s in base])
+        h_share, h_ops = failed_share([s for _, s in head])
         if h_share > b_share:
             failures.append(f"{w}: head fails {h_share:.4%} of operations, base {b_share:.4%}")
         out.append(f"{w}: {len(base)} base and {len(head)} head runs; failed operations base {b_ops}, head {h_ops}")
-        out.append(f"  {'metric':<20} {'base median':>12} {'head median':>12} {'change':>8} {'bound':>6}  verdict")
+        out.append(f"  {'metric':<20} {'base median':>12} {'head median':>12} {'change':>8} {'bound':>6} "
+                   f"{'head wins':>9}  verdict")
         for m in spec["end_to_end"]:
             name = m["name"]
-            b = [s["metrics"][name]["value"] for s in base if name in s.get("metrics", {})]
-            h = [s["metrics"][name]["value"] for s in head if name in s.get("metrics", {})]
-            bm, hm, change, failure = judge(m, b, h, len(head))
+            b = [(seed, s["metrics"][name]["value"]) for seed, s in base if name in s.get("metrics", {})]
+            h = [(seed, s["metrics"][name]["value"]) for seed, s in head if name in s.get("metrics", {})]
+            bm, hm, change, failure = judge(m, [v for _, v in b], [v for _, v in h], len(head))
             cols = ("-", "-", "-") if bm is None else (f"{bm:.6g}", f"{hm:.6g}", f"{change:+.1%}")
-            out.append(f"  {name:<20} {cols[0]:>12} {cols[1]:>12} {cols[2]:>8} {m['bound']:>6.0%}  "
+            wins = "{}/{}".format(*pair_wins(m, b, h))
+            out.append(f"  {name:<20} {cols[0]:>12} {cols[1]:>12} {cols[2]:>8} {m['bound']:>6.0%} {wins:>9}  "
                        + ("ok" if failure is None else "FAIL: " + failure))
             if failure is not None:
                 failures.append(f"{w}: {name}: {failure}")

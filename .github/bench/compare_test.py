@@ -25,11 +25,12 @@ SUMMARY = {
 }
 
 
-def judge(base, head, workload=None):
+def report(base, head, workload=None):
     """Runs compare on ab.sh's summaries.tsv for three pairs of every
-    workload: base and head print the given summary lines (None: the run
-    errored; a list: one per pair), except that head prints SUMMARY on
-    workloads other than the given one."""
+    workload and returns its report lines and failures: base and head
+    print the given summary lines (None: the run errored; a list: one
+    per pair), except that head prints SUMMARY on workloads other than
+    the given one."""
     heads = head if isinstance(head, list) else [head] * 3
     lines = []
     for w in (x["name"] for x in SPEC["workloads"]):
@@ -38,8 +39,25 @@ def judge(base, head, workload=None):
             for side, s in (("base", base), ("head", h)):
                 rc, raw = (1, "") if s is None else (0, json.dumps(s))
                 lines.append(f"{w}\t{side}\t{seed}\t{rc}\t{raw}\n")
-    _, failures = compare.compare(SPEC, compare.load(lines))
-    return failures
+    return compare.compare(SPEC, compare.load(lines))
+
+
+def judge(base, head, workload=None):
+    """Returns report's failures."""
+    return report(base, head, workload)[1]
+
+
+def improved(by):
+    """Returns SUMMARY with every metric better by the given fraction."""
+    s = copy.deepcopy(SUMMARY)
+    for m in SPEC["end_to_end"]:
+        s["metrics"][m["name"]]["value"] *= 1 - by if m["better"] == "lower" else 1 + by
+    return s
+
+
+def wins(out):
+    """Returns the head wins column of the first workload's report rows."""
+    return [line.split()[5] for line in out[2:2 + len(SPEC["end_to_end"])]]
 
 
 class CompareTest(unittest.TestCase):
@@ -84,6 +102,18 @@ class CompareTest(unittest.TestCase):
 
     def test_head_error_fails(self):
         self.assertTrue(any("errored" in f for f in judge(SUMMARY, None)))
+
+    def test_pair_wins(self):
+        # Pair 1 is a win for head, pair 2 a tie and pair 3's head run is
+        # missing: head won 1 of 2 pairs on every metric, whichever way it
+        # improves, and the failures are those of the runs alone.
+        w = SPEC["workloads"][0]["name"]
+        out, failures = report(SUMMARY, [improved(0.1), SUMMARY, None], w)
+        self.assertEqual(failures, [f"{w}: head run 3 errored (exit 1)"])
+        self.assertEqual(wins(out), ["1/2"] * len(SPEC["end_to_end"]))
+        out, failures = report(SUMMARY, improved(-0.01), w)
+        self.assertEqual(failures, [])
+        self.assertEqual(wins(out), ["0/3"] * len(SPEC["end_to_end"]))
 
     def test_no_base_value_fails(self):
         self.assertTrue(any("no base value" in f for f in judge(None, SUMMARY)))

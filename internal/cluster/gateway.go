@@ -641,7 +641,7 @@ func (g *Gateway) dispatchChunk(r *http.Request, releaseID string, ch subBatch, 
 			oc.bad = nr
 			return oc
 		}
-		results, hits, ok := edge.SplitBatchAnswer(nr.body)
+		results, hits, ok := edge.SplitBatchAnswer(nr.body, len(ch.queries))
 		if !ok || len(results) != len(ch.queries) {
 			g.failovers.Add(1)
 			continue // malformed answer; treat like a dead node

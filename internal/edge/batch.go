@@ -77,6 +77,11 @@ func ReadBatch(w http.ResponseWriter, r *http.Request, limit int64) (RawBatch, b
 // null release_id leaves it as it was, and a null queries empties it.
 func SplitBatch(body []byte) (RawBatch, bool) {
 	var b RawBatch
+	// The split is gathered on the stack, room for 64 queries, and copied
+	// once into a slice of its length: counting the elements first would
+	// scan their bytes twice.
+	var buf [64][]byte
+	queries := buf[:0]
 	if !json.Valid(body) {
 		return b, false
 	}
@@ -101,11 +106,12 @@ func SplitBatch(body []byte) (RawBatch, bool) {
 			return 0, false
 		case keyIs(key, "QUERIES"):
 			var end int
-			b.Queries, end = array(b.Queries, body, v)
+			queries, end = array(queries, body, v)
 			return end, end > 0
 		}
 		return skipValue(body, v), true
 	})
+	b.Queries = append([][]byte(nil), queries...)
 	return b, ok
 }
 
@@ -125,8 +131,9 @@ func BatchBody(releaseID string, queries [][]byte) []byte {
 // SplitBatchAnswer takes from a node's 200 batch answer its results'
 // elements, as the node encoded them, and its cache_hits. It refuses
 // anything that is not a JSON object whose results is an array of
-// objects and whose cache_hits is an integer.
-func SplitBatchAnswer(body []byte) (results [][]byte, cacheHits int, ok bool) {
+// objects and whose cache_hits is an integer. n is the number of results
+// the caller asked for, which sizes the split.
+func SplitBatchAnswer(body []byte, n int) (results [][]byte, cacheHits int, ok bool) {
 	if !json.Valid(body) {
 		return nil, 0, false
 	}
@@ -134,6 +141,7 @@ func SplitBatchAnswer(body []byte) (results [][]byte, cacheHits int, ok bool) {
 	if body[i] != '{' {
 		return nil, 0, false
 	}
+	results = make([][]byte, 0, n)
 	ok = members(body, i, func(key []byte, v int) (int, bool) {
 		switch {
 		case keyIs(key, "RESULTS"):

@@ -17,14 +17,20 @@ import (
 // and answers 7% from their histograms, scanning the other 16%.
 const blockRows = 64
 
+// superBlocks is the block count of a superblock, the second zone-map
+// level: a query classifies the 16 blocks of a superblock its box misses
+// or holds with one test, and only those of the others one by one.
+const superBlocks = 16
+
 // TupleBlocks is the serving layout of a perturbed release: the published
 // tuples as one float64 column per QI dimension plus the perturbed SA
-// column, cut into blockRows-row blocks. Each block carries a zone map
-// (the per-dimension min and max of its rows) and the histogram of its
-// SA values. A query skips the blocks its box misses, adds the histogram
-// of each block inside its box and scans the rows of the blocks on its
-// boundary only. The observed counts are those of a row scan, which is
-// why the answer keeps its bits.
+// column, cut into blockRows-row blocks, and the blocks grouped into
+// superblocks of superBlocks. Each block and superblock carries a zone
+// map (the per-dimension min and max of its rows) and the histogram of
+// its SA values. A query skips the superblocks and blocks its box misses,
+// adds the histogram of each one inside its box and scans the rows of
+// the blocks on its boundary only. The observed counts are those of a
+// row scan, which is why the answer keeps its bits.
 //
 // NewSnapshot lays the rows out in canonical order (CanonicalizeTuples),
 // which is what makes the zone maps tight; DecodeSnapshot keeps the order
@@ -37,28 +43,40 @@ type TupleBlocks struct {
 	QI [][]float64
 	SA []int32
 
-	m        int       // SA domain size
-	zlo, zhi []float64 // block b's min and max in dimension j at b·d+j
-	hist     []int32   // block b's SA histogram at b·m … (b+1)·m
+	m      int   // SA domain size
+	blocks zones // per block
+	supers zones // per superblock, folded from blocks
+}
+
+// zones holds the summaries of one level of row ranges: range u's min and
+// max in dimension j at lo[u·d+j] and hi[u·d+j], its SA histogram at
+// hist[u·m] … hist[(u+1)·m].
+type zones struct {
+	lo, hi []float64
+	hist   []int32
+}
+
+// newZones allocates zeroed summaries of units ranges over d dimensions
+// and m SA values.
+func newZones(units, d, m int) zones {
+	return zones{lo: make([]float64, units*d), hi: make([]float64, units*d), hist: make([]int32, units*m)}
 }
 
 // BlockCounts is what one query did with a TupleBlocks' blocks: skipped
 // by the zone map, answered from the SA histogram, or scanned row by row.
+// The blocks of a superblock skipped or answered whole count one by one,
+// as their own zone maps classify them.
 type BlockCounts struct {
 	Skipped, Summarized, Scanned int
 }
 
-// newTupleBlocks derives the block summaries over validated columns;
-// every SA index must lie in [0, m). The columns are kept, not copied.
+// newTupleBlocks derives the block and superblock summaries over
+// validated columns; every SA index must lie in [0, m). The columns are
+// kept, not copied.
 func newTupleBlocks(m int, qi [][]float64, sa []int32) *TupleBlocks {
 	n, d := len(sa), len(qi)
 	nb := (n + blockRows - 1) / blockRows
-	tb := &TupleBlocks{
-		QI: qi, SA: sa, m: m,
-		zlo:  make([]float64, nb*d),
-		zhi:  make([]float64, nb*d),
-		hist: make([]int32, nb*m),
-	}
+	tb := &TupleBlocks{QI: qi, SA: sa, m: m, blocks: newZones(nb, d, m)}
 	for j, col := range qi {
 		for b := 0; b < nb; b++ {
 			rows := col[b*blockRows : min((b+1)*blockRows, n)]
@@ -74,11 +92,29 @@ func newTupleBlocks(m int, qi [][]float64, sa []int32) *TupleBlocks {
 					hi = v
 				}
 			}
-			tb.zlo[b*d+j], tb.zhi[b*d+j] = lo, hi
+			tb.blocks.lo[b*d+j], tb.blocks.hi[b*d+j] = lo, hi
 		}
 	}
 	for i, v := range sa {
-		tb.hist[i/blockRows*m+int(v)]++
+		tb.blocks.hist[i/blockRows*m+int(v)]++
+	}
+	// A superblock's zone map spans its blocks' and its histogram sums
+	// theirs.
+	tb.supers = newZones((nb+superBlocks-1)/superBlocks, d, m)
+	for b := 0; b < nb; b++ {
+		s := b / superBlocks
+		for j := 0; j < d; j++ {
+			lo, hi := tb.blocks.lo[b*d+j], tb.blocks.hi[b*d+j]
+			if b%superBlocks == 0 || lo < tb.supers.lo[s*d+j] {
+				tb.supers.lo[s*d+j] = lo
+			}
+			if b%superBlocks == 0 || hi > tb.supers.hi[s*d+j] {
+				tb.supers.hi[s*d+j] = hi
+			}
+		}
+		for v, c := range tb.blocks.hist[b*m : (b+1)*m] {
+			tb.supers.hist[s*m+v] += c
+		}
 	}
 	return tb
 }
@@ -158,54 +194,164 @@ func (tb *TupleBlocks) Blocks(q query.Query) BlockCounts {
 }
 
 // scan adds to observed the SA counts of the rows matching q's QI
-// predicates, block by block.
+// predicates, superblock by superblock and block by block.
 func (tb *TupleBlocks) scan(q query.Query, observed []int) BlockCounts {
 	var bc BlockCounts
-	n, d, m := len(tb.SA), len(tb.QI), tb.m
-	// Per block, the predicates its zone map straddles: only those are
-	// tested row by row.
-	straddle := make([]int, 0, len(q.Dims))
-	for b, lo := 0, 0; lo < n; b, lo = b+1, lo+blockRows {
-		zlo, zhi := tb.zlo[b*d:(b+1)*d], tb.zhi[b*d:(b+1)*d]
-		straddle = straddle[:0]
-		disjoint := false
-		for i, j := range q.Dims {
-			if zhi[j] < q.Lo[i] || zlo[j] > q.Hi[i] {
-				disjoint = true
-				break
-			}
-			if zlo[j] < q.Lo[i] || zhi[j] > q.Hi[i] {
-				straddle = append(straddle, i)
-			}
-		}
+	d, k := len(tb.QI), len(q.Dims)
+	nb := (len(tb.SA) + blockRows - 1) / blockRows
+	// The predicates a superblock's and a block's zone maps straddle: a
+	// block is tested only on its superblock's, its rows only on its own.
+	var arr [3 * 8]int // room for queries of up to 8 predicates
+	buf := arr[:]
+	if 3*k > len(arr) {
+		buf = make([]int, 3*k)
+	}
+	all, sup, blk := buf[:k], buf[k:k:2*k], buf[2*k:2*k:3*k]
+	for i := range all {
+		all[i] = i
+	}
+	for s, b0 := 0, 0; b0 < nb; s, b0 = s+1, b0+superBlocks {
+		b1 := min(b0+superBlocks, nb)
+		var hit bool
+		sup, hit = tb.supers.straddled(sup[:0], s, d, &q, all)
 		switch {
-		case disjoint:
-			bc.Skipped++
-		case len(straddle) == 0:
-			bc.Summarized++
-			for v, c := range tb.hist[b*m : (b+1)*m] {
-				observed[v] += int(c)
-			}
+		case !hit:
+			bc.Skipped += b1 - b0
+		case len(sup) == 0:
+			bc.Summarized += b1 - b0
+			tb.supers.count(s, tb.m, observed)
 		default:
-			bc.Scanned++
-			hi := min(lo+blockRows, n)
-			match := ^uint64(0) >> (blockRows - (hi - lo))
-			for _, i := range straddle {
-				qlo, qhi := q.Lo[i], q.Hi[i]
-				var in uint64
-				for r, v := range tb.QI[q.Dims[i]][lo:hi] {
-					if v >= qlo && v <= qhi {
-						in |= 1 << r
-					}
+			for b := b0; b < b1; b++ {
+				blk, hit = tb.blocks.straddled(blk[:0], b, d, &q, sup)
+				switch {
+				case !hit:
+					bc.Skipped++
+				case len(blk) == 0:
+					bc.Summarized++
+					tb.blocks.count(b, tb.m, observed)
+				default:
+					bc.Scanned++
+					tb.scanBlock(b, &q, blk, observed)
 				}
-				if match &= in; match == 0 {
-					break
-				}
-			}
-			for ; match != 0; match &= match - 1 {
-				observed[tb.SA[lo+bits.TrailingZeros64(match)]]++
 			}
 		}
 	}
 	return bc
+}
+
+// straddled appends to dst the predicates among preds, indices into
+// q.Dims, whose range the zone map of range u crosses, and reports
+// whether u can hold a match: false when its zone map misses the range
+// of one of them.
+func (z *zones) straddled(dst []int, u, d int, q *query.Query, preds []int) ([]int, bool) {
+	lo, hi := z.lo[u*d:(u+1)*d], z.hi[u*d:(u+1)*d]
+	for _, i := range preds {
+		j := q.Dims[i]
+		if hi[j] < q.Lo[i] || lo[j] > q.Hi[i] {
+			return dst, false
+		}
+		if lo[j] < q.Lo[i] || hi[j] > q.Hi[i] {
+			dst = append(dst, i)
+		}
+	}
+	return dst, true
+}
+
+// count adds range u's SA histogram to observed.
+func (z *zones) count(u, m int, observed []int) {
+	for v, c := range z.hist[u*m : (u+1)*m] {
+		observed[v] += int(c)
+	}
+}
+
+// scanBlock adds to observed the SA counts of block b's rows inside the
+// predicates preds, which its zone map straddles; its rows meet q's other
+// predicates.
+func (tb *TupleBlocks) scanBlock(b int, q *query.Query, preds []int, observed []int) {
+	d := len(tb.QI)
+	lo, hi := b*blockRows, min((b+1)*blockRows, len(tb.SA))
+	match := ^uint64(0)
+	for _, i := range preds {
+		j := q.Dims[i]
+		match &= rowMask(tb.QI[j][lo:hi], tb.blocks.lo[b*d+j], tb.blocks.hi[b*d+j], q.Lo[i], q.Hi[i])
+		if match == 0 {
+			return
+		}
+	}
+	sa := tb.SA[lo:hi]
+	for ; match != 0; match &= match - 1 {
+		observed[sa[bits.TrailingZeros64(match)]]++
+	}
+}
+
+// rowMask returns the mask of the rows of col, at most blockRows of them
+// with zone map [zlo, zhi], whose value lies in [lo, hi]. It tests only
+// the bounds the zone map crosses: rows at most zhi ≤ hi need only
+// v ≥ lo, rows at least zlo ≥ lo only v ≤ hi.
+func rowMask(col []float64, zlo, zhi, lo, hi float64) uint64 {
+	switch {
+	case zhi <= hi:
+		return atLeast(col, lo)
+	case zlo >= lo:
+		return atMost(col, hi)
+	}
+	return between(col, lo, hi)
+}
+
+// The mask kernels set bit r for row r of col (at most blockRows rows)
+// when the row meets their bound. Each comparison becomes a bit shifted
+// into place, eight rows per step, so the loop has no branch per row: a
+// boundary block's rows fall either side of a bound by construction,
+// which a per-row branch would mispredict.
+
+func atLeast(col []float64, lo float64) uint64 {
+	var mask uint64
+	r := 0
+	for ; r+8 <= len(col); r += 8 {
+		c := (*[8]float64)(col[r:])
+		mask |= (b2u(c[0] >= lo) | b2u(c[1] >= lo)<<1 | b2u(c[2] >= lo)<<2 | b2u(c[3] >= lo)<<3 |
+			b2u(c[4] >= lo)<<4 | b2u(c[5] >= lo)<<5 | b2u(c[6] >= lo)<<6 | b2u(c[7] >= lo)<<7) << r
+	}
+	for ; r < len(col); r++ {
+		mask |= b2u(col[r] >= lo) << r
+	}
+	return mask
+}
+
+func atMost(col []float64, hi float64) uint64 {
+	var mask uint64
+	r := 0
+	for ; r+8 <= len(col); r += 8 {
+		c := (*[8]float64)(col[r:])
+		mask |= (b2u(c[0] <= hi) | b2u(c[1] <= hi)<<1 | b2u(c[2] <= hi)<<2 | b2u(c[3] <= hi)<<3 |
+			b2u(c[4] <= hi)<<4 | b2u(c[5] <= hi)<<5 | b2u(c[6] <= hi)<<6 | b2u(c[7] <= hi)<<7) << r
+	}
+	for ; r < len(col); r++ {
+		mask |= b2u(col[r] <= hi) << r
+	}
+	return mask
+}
+
+func between(col []float64, lo, hi float64) uint64 {
+	var mask uint64
+	r := 0
+	for ; r+8 <= len(col); r += 8 {
+		c := (*[8]float64)(col[r:])
+		mask |= (b2u(c[0] >= lo)&b2u(c[0] <= hi) | (b2u(c[1] >= lo)&b2u(c[1] <= hi))<<1 |
+			(b2u(c[2] >= lo)&b2u(c[2] <= hi))<<2 | (b2u(c[3] >= lo)&b2u(c[3] <= hi))<<3 |
+			(b2u(c[4] >= lo)&b2u(c[4] <= hi))<<4 | (b2u(c[5] >= lo)&b2u(c[5] <= hi))<<5 |
+			(b2u(c[6] >= lo)&b2u(c[6] <= hi))<<6 | (b2u(c[7] >= lo)&b2u(c[7] <= hi))<<7) << r
+	}
+	for ; r < len(col); r++ {
+		mask |= b2u(col[r] >= lo) & b2u(col[r] <= hi) << r
+	}
+	return mask
+}
+
+// b2u is 1 for true and 0 for false; the compiler turns it into a SETcc.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

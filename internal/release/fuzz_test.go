@@ -141,25 +141,30 @@ func FuzzEstimateEquivalence(f *testing.F) {
 }
 
 // FuzzPerturbedBlocks differentially fuzzes the perturbed block path
-// against the row scan it replaces: for random schemas, tables of 4–600
-// rows (several blocks and a partial last one) and queries, both the
-// owner-built and the decoded snapshot must answer every aggregate with
-// exactly the bits of query.EstimatePerturbed over the method's own
-// table. perfbench's referee recomputes served answers through the block
-// path itself, so this is the check that catches a skipping bug. Queries
-// snap their bounds to block zone maps and to single tuple values, to
-// reach the inside, disjoint and grazing branches random floats miss.
+// against the row scan it replaces: for random schemas, tables of
+// 4–3,000 rows (several blocks and superblocks, and a partial last block
+// and superblock) and queries, both the owner-built and the decoded
+// snapshot must answer every aggregate with exactly the bits of
+// query.EstimatePerturbed over the method's own table, and report the
+// block census a brute-force classification gives. perfbench's referee
+// recomputes served answers through the block path itself, so this is
+// the check that catches a skipping bug. Queries snap their bounds to
+// block and superblock zone maps and to single tuple values, to reach the
+// inside, disjoint and grazing branches random floats miss.
 func FuzzPerturbedBlocks(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint16(8), uint8(4))
 	f.Add(int64(2), uint8(2), uint16(130), uint8(2))
 	f.Add(int64(3), uint8(3), uint16(600), uint8(4))
 	f.Add(int64(4), uint8(4), uint16(257), uint8(8))
 	f.Add(int64(-7), uint8(2), uint16(64), uint8(1))
+	f.Add(int64(5), uint8(3), uint16(1030), uint8(3))
+	f.Add(int64(6), uint8(4), uint16(2044), uint8(5))
+	f.Add(int64(8), uint8(2), uint16(2996), uint8(2))
 
 	f.Fuzz(func(t *testing.T, seed int64, dimByte uint8, rowWord uint16, betaByte uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		nd := 1 + int(dimByte)%4
-		nRows := 4 + int(rowWord)%597
+		nRows := 4 + int(rowWord)%2997
 		schema := fuzzSchema(nd, rng)
 		tab := fuzzTable(schema, nRows, rng)
 		params := anon.NewPerturbParams(anon.PerturbBeta(1+float64(betaByte%8)), anon.PerturbSeed(seed))
@@ -200,6 +205,13 @@ func FuzzPerturbedBlocks(f *testing.F) {
 					}
 				}
 			}
+			want := blockCensus(owner.Tuples, q)
+			for name, snap := range map[string]*Snapshot{"owner": owner, "decoded": decoded} {
+				if got := snap.Tuples.Blocks(q); got != want {
+					t.Fatalf("%s %s query %+v: census %+v, brute force %+v (%d dims, %d rows)",
+						name, origin, q, got, want, nd, nRows)
+				}
+			}
 		}
 		// bounds makes a valid predicate bound pair from raw values.
 		bounds := func(d int, lo, hi float64) (float64, float64) {
@@ -227,19 +239,23 @@ func FuzzPerturbedBlocks(f *testing.F) {
 			}
 		}
 
-		// Bounds on a block's zone map: its exact extent (inside), an edge
-		// point, a range grazing either edge, and a range just past it.
+		// Bounds on a block's or a superblock's zone map: its exact extent
+		// (inside), an edge point, a range grazing either edge, and a range
+		// just past it.
 		tb := owner.Tuples
-		nb := (tb.Len() + blockRows - 1) / blockRows
-		for i := 0; i < 12; i++ {
-			b := rng.Intn(nb)
+		for i := 0; i < 16; i++ {
+			z := &tb.blocks
+			if i%2 == 1 {
+				z = &tb.supers
+			}
+			u := rng.Intn(len(z.lo) / nd)
 			q := query.Query{}
 			q.SALo, q.SAHi = saRange()
 			for d := 0; d < nd; d++ {
 				if rng.Intn(2) == 0 && d != nd-1 {
 					continue
 				}
-				zlo, zhi := tb.zlo[b*nd+d], tb.zhi[b*nd+d]
+				zlo, zhi := z.lo[u*nd+d], z.hi[u*nd+d]
 				var lo, hi float64
 				switch rng.Intn(6) {
 				case 0:
