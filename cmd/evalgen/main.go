@@ -173,20 +173,15 @@ func main() {
 }
 
 // evaluatePoint runs one sweep sample through the exact pipeline the
-// serving evaluation uses: anonymize via the registry, snapshot the
-// release, and hand the original table plus the recorded spec to
+// serving evaluation uses: build the release as the store does
+// (release.Build), and hand the original table plus the recorded spec to
 // eval.Evaluate — which re-runs and verifies the build before attacking.
 func evaluatePoint(ctx context.Context, tab *microdata.Table, sw sweep, v float64, p eval.Params) (*api.EvalVerdict, error) {
-	params := sw.params(v)
-	spec := release.Spec{Method: sw.method, Params: params}
+	spec := release.Spec{Method: sw.method, Params: sw.params(v)}
 	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
-	rel, err := anon.Anonymize(ctx, tab, params)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := release.NewSnapshot(rel, 0)
+	_, snap, err := release.Build(ctx, tab, spec)
 	if err != nil {
 		return nil, err
 	}

@@ -282,3 +282,44 @@ func TestGatewayFailsOverMalformedAnswer(t *testing.T) {
 		})
 	}
 }
+
+// TestTrailingBytesRefused: a JSON request body is one JSON value. Each
+// route that decodes one (create, single query, :evaluate and batch)
+// answers a body with bytes after that value with 400 invalid_request,
+// from a node and through the gateway, which relays the node's refusal
+// or, for a batch, refuses it itself.
+func TestTrailingBytesRefused(t *testing.T) {
+	ts, id, holder, qs := replicatedRelease(t, 2)
+	csv, _, _ := censusCSVQs(t, 600, 37, 3, 0)
+	enc := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for path, body := range map[string]string{
+		"/v1/releases":                     enc(api.CreateReleaseRequest{Method: anon.MethodBUREL, QI: 3, CSV: csv}),
+		"/v1/releases/" + id + "/query":    enc(qs[0]),
+		"/v1/releases/" + id + ":evaluate": enc(api.EvaluateRequest{CSV: csv, Queries: 10}),
+		"/v1/query:batch":                  enc(api.BatchQueryRequest{ReleaseID: id, Queries: qs}),
+	} {
+		for role, base := range map[string]string{"gateway": ts.URL, "node": holder.url()} {
+			resp, err := http.Post(base+path, "application/json", strings.NewReader(body+" trailing"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env api.Envelope
+			err = json.NewDecoder(resp.Body).Decode(&env)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("%s %s: %d is not an error envelope: %v", role, path, resp.StatusCode, err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || env.Error.Code != api.CodeInvalidRequest ||
+				!strings.Contains(env.Error.Message, "after top-level value") {
+				t.Errorf("%s %s: %d %s %q, want 400 %s for the trailing bytes",
+					role, path, resp.StatusCode, env.Error.Code, env.Error.Message, api.CodeInvalidRequest)
+			}
+		}
+	}
+}

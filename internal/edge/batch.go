@@ -13,31 +13,26 @@ import (
 )
 
 // DecodeBatch reads a POST /v1/query:batch body of at most limit bytes
-// and checks its shape. On false the error envelope has been written.
+// with DecodeJSON and checks its shape. On false the error envelope has
+// been written.
 func DecodeBatch(w http.ResponseWriter, r *http.Request, limit int64) (api.BatchQueryRequest, bool) {
-	body, err := ReadBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength)
-	if err != nil {
-		WriteBodyErr(w, fmt.Errorf("decoding request: %w", err))
-		return api.BatchQueryRequest{}, false
-	}
-	return decodeBatch(w, body)
+	var req api.BatchQueryRequest
+	ok := DecodeJSON(w, r, limit, &req) && checkBatch(w, req)
+	return req, ok
 }
 
-func decodeBatch(w http.ResponseWriter, body []byte) (api.BatchQueryRequest, bool) {
-	var req api.BatchQueryRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		WriteBodyErr(w, fmt.Errorf("decoding request: %w", err))
-		return req, false
-	}
+// checkBatch refuses a decoded batch with no release ID or no query. On
+// false the 400 has been written.
+func checkBatch(w http.ResponseWriter, req api.BatchQueryRequest) bool {
 	if req.ReleaseID == "" {
 		WriteErr(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Errorf("release_id is required"), nil)
-		return req, false
+		return false
 	}
 	if len(req.Queries) == 0 {
 		WriteErr(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Errorf("queries is empty"), nil)
-		return req, false
+		return false
 	}
-	return req, true
+	return true
 }
 
 // RawBatch is a POST /v1/query:batch body split at element boundaries:
@@ -64,8 +59,11 @@ func ReadBatch(w http.ResponseWriter, r *http.Request, limit int64) (RawBatch, b
 	}
 	// json.Unmarshal refuses every body the splitter refuses, and a body
 	// the splitter reads with no release ID or no query fails its checks
-	// too (FuzzSplitBatch), so DecodeBatch's own decode words the 400.
-	decodeBatch(w, body)
+	// too (FuzzSplitBatch), so DecodeBatch's decode and checks word the 400.
+	var req api.BatchQueryRequest
+	if unmarshalBody(w, body, &req) {
+		checkBatch(w, req)
+	}
 	return RawBatch{}, false
 }
 

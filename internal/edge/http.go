@@ -61,6 +61,30 @@ func WriteBodyErr(w http.ResponseWriter, err error) {
 	WriteErr(w, http.StatusBadRequest, api.CodeInvalidRequest, err, nil)
 }
 
+// DecodeJSON reads a request body of at most limit bytes with ReadBody
+// and decodes it into v with json.Unmarshal, which refuses bytes after
+// the one JSON value where a json.Decoder would stop before them. Every
+// JSON request body a node decodes comes through it. On false the error
+// envelope has been written: 413 too_large or 400 invalid_request.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	body, err := ReadBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength)
+	if err != nil {
+		WriteBodyErr(w, fmt.Errorf("decoding request: %w", err))
+		return false
+	}
+	return unmarshalBody(w, body, v)
+}
+
+// unmarshalBody decodes a request body already read into v. On false the
+// 400 has been written.
+func unmarshalBody(w http.ResponseWriter, body []byte, v any) bool {
+	if err := json.Unmarshal(body, v); err != nil {
+		WriteBodyErr(w, fmt.Errorf("decoding request: %w", err))
+		return false
+	}
+	return true
+}
+
 // maxBodyReserve caps the buffer ReadBody reserves from a declared
 // length before any byte arrives: a peer can declare any Content-Length
 // without sending it.

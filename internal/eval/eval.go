@@ -7,9 +7,10 @@
 // The serving store deliberately never retains raw microdata — snapshots
 // hold only the published artifact — so an evaluation job takes the
 // original table re-uploaded by the caller. The job does not trust the
-// upload: it re-runs the release's recorded spec over it (every
-// registered method is seeded and deterministic) and verifies the rebuilt
-// publication is identical to the served snapshot. That both
+// upload: it re-runs the release's recorded spec over it with the store's
+// own build, release.Build (every registered method is seeded and
+// deterministic), and requires the rebuilt snapshot to encode to the
+// served one's bytes (release.SamePublication). That both
 // authenticates the upload as the true original and recovers the
 // row-to-group partition the attacks need, which snapshots do not
 // persist.
@@ -26,11 +27,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
-	"slices"
-	"sort"
 
-	"repro/anon"
 	"repro/internal/attack"
 	"repro/internal/likeness"
 	"repro/internal/metrics"
@@ -134,21 +131,22 @@ func Evaluate(ctx context.Context, tab *microdata.Table, snap *release.Snapshot,
 		return nil, fmt.Errorf("eval: uploaded table has %d rows, release was built from %d", tab.Len(), snap.Rows)
 	}
 
-	// Re-run the recorded anonymization over the upload and insist the
-	// result is the served publication. Every registered method is
-	// seeded, so a genuine original reproduces the release exactly; a
-	// tampered or unrelated table fails here instead of producing a
-	// verdict about data the release was never built from.
-	m, err := anon.Lookup(spec.Method)
-	if err != nil {
-		return nil, err
-	}
-	rebuilt, err := m.Anonymize(ctx, tab, spec.Params)
+	// Re-run the recorded build over the upload and insist the result is
+	// the served publication. Every registered method is seeded, so a
+	// genuine original reproduces the release exactly; a tampered or
+	// unrelated table fails here instead of producing a verdict about data
+	// the release was never built from, and so does a method whose output
+	// changed since the release was built.
+	rebuilt, rs, err := release.Build(ctx, tab, spec)
 	if err != nil {
 		return nil, fmt.Errorf("eval: re-anonymizing upload: %w", err)
 	}
-	if err := verifyRebuild(rebuilt, snap); err != nil {
+	same, err := release.SamePublication(rs, snap)
+	if err != nil {
 		return nil, err
+	}
+	if !same {
+		return nil, fmt.Errorf("eval: upload does not reproduce the release (is this the original microdata?)")
 	}
 
 	v := &Verdict{
@@ -227,157 +225,26 @@ func Evaluate(ctx context.Context, tab *microdata.Table, snap *release.Snapshot,
 // aggregate gets its own derived seed so adding one workload never
 // perturbs the other's queries.
 func utility(ctx context.Context, tab *microdata.Table, snap *release.Snapshot, p Params) (*api.EvalUtility, error) {
+	workload := func(agg query.Aggregate, seed int64) (float64, int, error) {
+		gen, err := query.NewGenerator(tab.Schema, p.Lambda, p.Theta, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			return 0, 0, err
+		}
+		gen.Agg = agg
+		return query.MedianRelativeError(tab, gen, func(q query.Query) (float64, error) {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+			return snap.Estimate(q)
+		}, p.Queries)
+	}
 	out := &api.EvalUtility{Queries: p.Queries}
-
-	countGen, err := query.NewGenerator(tab.Schema, p.Lambda, p.Theta, rand.New(rand.NewSource(p.Seed+1)))
-	if err != nil {
+	var err error
+	if out.CountMedianRelErr, out.CountQueries, err = workload(query.AggCount, p.Seed+1); err != nil {
 		return nil, err
 	}
-	med, used, err := query.MedianRelativeError(tab, countGen, func(q query.Query) (float64, error) {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		return snap.Estimate(q)
-	}, p.Queries)
-	if err != nil {
+	if out.SumMedianRelErr, out.SumQueries, err = workload(query.AggSum, p.Seed+2); err != nil {
 		return nil, err
 	}
-	out.CountQueries, out.CountMedianRelErr = used, med
-
-	sumGen, err := query.NewGenerator(tab.Schema, p.Lambda, p.Theta, rand.New(rand.NewSource(p.Seed+2)))
-	if err != nil {
-		return nil, err
-	}
-	errs := make([]float64, 0, p.Queries)
-	for i := 0; i < p.Queries; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		q := sumGen.Next()
-		q.Agg = query.AggSum
-		exact := query.ExactAgg(tab, q)
-		if exact == 0 {
-			continue
-		}
-		est, err := snap.Estimate(q)
-		if err != nil {
-			return nil, err
-		}
-		errs = append(errs, math.Abs(est-exact)/math.Abs(exact))
-	}
-	out.SumQueries = len(errs)
-	out.SumMedianRelErr = median(errs)
 	return out, nil
-}
-
-// median of a slice; 0 when empty. Sorts in place.
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sort.Float64s(xs)
-	mid := len(xs) / 2
-	if len(xs)%2 == 0 {
-		return (xs[mid-1] + xs[mid]) / 2
-	}
-	return xs[mid]
-}
-
-// verifyRebuild checks that the publication rebuilt from the upload is
-// exactly the one the snapshot serves. The comparison is kind-specific
-// and strict: seeded methods are deterministic, so any divergence means
-// the upload is not the microdata the release was built from (or the
-// binary's method implementation changed — equally disqualifying for a
-// verdict claiming to describe the served artifact).
-func verifyRebuild(rebuilt *anon.Release, snap *release.Snapshot) error {
-	mismatch := func(what string) error {
-		return fmt.Errorf("eval: upload does not reproduce the release: %s differs (is this the original microdata?)", what)
-	}
-	switch snap.Kind {
-	case release.KindGeneralized:
-		if rebuilt.ECs == nil {
-			return mismatch("publication kind")
-		}
-		// The served ECs sit in the order their snapshot was built in, the
-		// canonical one; the anonymizer's raw output is in discovery order.
-		// NewSnapshot puts the rebuilt side into the same order as it turns
-		// the rows into columns, so the positional comparison tests
-		// content, not bookkeeping.
-		rs, err := release.NewSnapshot(rebuilt, 0)
-		if err != nil {
-			return err
-		}
-		a, b := rs.Index.Columns(), snap.Index.Columns()
-		if a.N != b.N {
-			return mismatch("equivalence-class count")
-		}
-		if !reflect.DeepEqual(a, b) {
-			return mismatch("equivalence classes")
-		}
-	case release.KindAnatomy:
-		switch {
-		case snap.LDiverse != nil:
-			if rebuilt.LDiverse == nil {
-				return mismatch("publication kind")
-			}
-			a, b := rebuilt.LDiverse, snap.LDiverse
-			if a.L != b.L || len(a.Groups) != len(b.Groups) || !reflect.DeepEqual(a.SACounts, b.SACounts) {
-				return mismatch("group structure")
-			}
-			for i := range a.Groups {
-				if !reflect.DeepEqual(a.Groups[i].Rows, b.Groups[i].Rows) {
-					return mismatch(fmt.Sprintf("group %d membership", i))
-				}
-			}
-			if !reflect.DeepEqual(a.Table.Tuples, b.Table.Tuples) {
-				return mismatch("published tuples")
-			}
-		case snap.Baseline != nil:
-			if rebuilt.Baseline == nil {
-				return mismatch("publication kind")
-			}
-			if !reflect.DeepEqual([]float64(rebuilt.Baseline.P), []float64(snap.Baseline.P)) {
-				return mismatch("published SA distribution")
-			}
-			if !reflect.DeepEqual(rebuilt.Baseline.Table.Tuples, snap.Baseline.Table.Tuples) {
-				return mismatch("published tuples")
-			}
-		default:
-			return fmt.Errorf("eval: anatomy snapshot without publication")
-		}
-	case release.KindPerturbed:
-		if rebuilt.Perturbed == nil || rebuilt.Scheme == nil {
-			return mismatch("publication kind")
-		}
-		if snap.Tuples == nil || snap.Scheme == nil || snap.Scheme.Model == nil || rebuilt.Scheme.Model == nil {
-			return fmt.Errorf("eval: perturbed snapshot without tuples or scheme")
-		}
-		am, bm := rebuilt.Scheme.Model, snap.Scheme.Model
-		if am.Beta != bm.Beta || !reflect.DeepEqual(am.P, bm.P) {
-			return mismatch("perturbation model")
-		}
-		if rebuilt.Perturbed.Len() != snap.Tuples.Len() {
-			return mismatch("perturbed table size")
-		}
-		// The rebuilt snapshot lays its tuples out in canonical order. The
-		// served ones sit in that order too, unless their snapshot was
-		// written before the order existed; a copy of them is put in it,
-		// so the positional comparison tests content, not row order.
-		rs, err := release.NewSnapshot(rebuilt, 0)
-		if err != nil {
-			return err
-		}
-		qi := make([][]float64, len(snap.Tuples.QI))
-		for j := range qi {
-			qi[j] = slices.Clone(snap.Tuples.QI[j])
-		}
-		sa := slices.Clone(snap.Tuples.SA)
-		release.CanonicalizeTuples(snap.Schema, qi, sa)
-		if !reflect.DeepEqual(rs.Tuples.QI, qi) || !reflect.DeepEqual(rs.Tuples.SA, sa) {
-			return mismatch("perturbed tuples")
-		}
-	default:
-		return fmt.Errorf("eval: unknown release kind %q", snap.Kind)
-	}
-	return nil
 }

@@ -37,8 +37,8 @@ func servedSnapshot(t *testing.T, tab *microdata.Table, spec release.Spec) *rele
 	return snap
 }
 
-// TestEvaluateRejectsTamperedQI: every kind that publishes tuples
-// publishes their QI values, so an upload whose QI values differ from the
+// TestEvaluateRejectsTamperedQI: every kind publishes QI values, as
+// tuples or as EC boxes, so an upload whose QI values differ from the
 // original's does not reproduce the release — even where the SA column,
 // the perturbation model, the SA distribution or the group structure
 // (which the anonymizers derive from the SA column alone) all match.
@@ -55,6 +55,8 @@ func TestEvaluateRejectsTamperedQI(t *testing.T) {
 		}
 	}
 	for name, params := range map[string]anon.Params{
+		"burel":            anon.NewBURELParams(anon.BURELBeta(4), anon.BURELSeed(7)),
+		"sabre":            anon.NewSABREParams(anon.SABRESeed(7)),
 		"perturb":          anon.NewPerturbParams(anon.PerturbBeta(4), anon.PerturbSeed(7)),
 		"anatomy_baseline": anon.NewAnatomyParams(anon.AnatomySeed(7)),
 		"anatomy_ldiverse": anon.NewAnatomyParams(anon.AnatomyL(2), anon.AnatomySeed(7)),

@@ -126,6 +126,8 @@ type Generator struct {
 	// predicates selects a range of length |A|·θ^{1/(λ+1)} (§6.2).
 	Theta float64
 	Rng   *rand.Rand
+	// Agg is every generated query's aggregate; the zero value is COUNT.
+	Agg Aggregate
 }
 
 // NewGenerator validates the shape and builds a generator.
@@ -142,7 +144,7 @@ func NewGenerator(s *microdata.Schema, lambda int, theta float64, rng *rand.Rand
 // Next generates one query.
 func (g *Generator) Next() Query {
 	frac := math.Pow(g.Theta, 1/float64(g.Lambda+1))
-	q := Query{SALo: 0, SAHi: 0}
+	q := Query{Agg: g.Agg}
 	dims := g.Rng.Perm(len(g.Schema.QI))[:g.Lambda]
 	sort.Ints(dims)
 	for _, d := range dims {
@@ -681,22 +683,23 @@ func EstimateLDiverse(pub *anatomy.LDiversePublication, q Query) float64 {
 type Estimator func(Query) (float64, error)
 
 // MedianRelativeError runs a workload of n queries from the generator and
-// returns the median of |est − prec| / prec over queries with prec > 0
-// (zero-precision queries are dropped, as in §6.2). The second result is
-// the number of evaluated (non-dropped) queries.
+// returns the median of |est − prec| / prec, prec being the query's
+// aggregate on t (ExactAgg), over queries with prec > 0 (zero-precision
+// queries are dropped, as in §6.2). The second result is the number of
+// evaluated (non-dropped) queries.
 func MedianRelativeError(t *microdata.Table, gen *Generator, est Estimator, n int) (float64, int, error) {
 	errs := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
 		q := gen.Next()
-		prec := Exact(t, q)
-		if prec == 0 {
+		prec := ExactAgg(t, q)
+		if prec <= 0 {
 			continue
 		}
 		e, err := est(q)
 		if err != nil {
 			return 0, 0, err
 		}
-		errs = append(errs, math.Abs(e-float64(prec))/float64(prec))
+		errs = append(errs, math.Abs(e-prec)/prec)
 	}
 	if len(errs) == 0 {
 		return 0, 0, nil

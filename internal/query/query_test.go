@@ -238,6 +238,51 @@ func TestMedianRelativeErrorGeneralized(t *testing.T) {
 	}
 }
 
+// TestMedianRelativeErrorSum: a generator's Agg reaches every query it
+// makes, and MedianRelativeError scores a SUM workload against ExactAgg
+// exactly as a brute-force median over the same queries does.
+func TestMedianRelativeErrorSum(t *testing.T) {
+	tab := sample(t, 5000, 3)
+	res, err := burel.Anonymize(tab, burel.Options{Beta: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := res.Partition.Publish()
+	est := func(q Query) (float64, error) {
+		if q.Agg != AggSum {
+			t.Fatalf("estimator got a %q query, want sum", q.Agg)
+		}
+		return EstimateGeneralized(tab.Schema, pub, q), nil
+	}
+	g, _ := NewGenerator(tab.Schema, 2, 0.1, rand.New(rand.NewSource(7)))
+	g.Agg = AggSum
+	med, n, err := MedianRelativeError(tab, g, est, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	g, _ = NewGenerator(tab.Schema, 2, 0.1, rand.New(rand.NewSource(7)))
+	var errs []float64
+	for i := 0; i < 200; i++ {
+		q := g.Next()
+		q.Agg = AggSum
+		exact := ExactAgg(tab, q)
+		if exact == 0 {
+			continue
+		}
+		e, _ := est(q)
+		errs = append(errs, math.Abs(e-exact)/exact)
+	}
+	slices.Sort(errs)
+	want := errs[len(errs)/2]
+	if len(errs)%2 == 0 {
+		want = (errs[len(errs)/2-1] + want) / 2
+	}
+	if n != len(errs) || math.Float64bits(med) != math.Float64bits(want) {
+		t.Fatalf("MedianRelativeError = %v over %d queries, brute force %v over %d", med, n, want, len(errs))
+	}
+}
+
 func allRows(n int) []int {
 	rows := make([]int, n)
 	for i := range rows {

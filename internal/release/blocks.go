@@ -32,7 +32,7 @@ const superBlocks = 16
 // the blocks on its boundary only. The observed counts are those of a
 // row scan, which is why the answer keeps its bits.
 //
-// NewSnapshot lays the rows out in canonical order (CanonicalizeTuples),
+// NewSnapshot lays the rows out in canonical order (canonicalizeTuples),
 // which is what makes the zone maps tight; DecodeSnapshot keeps the order
 // the file holds. The zone maps and histograms are derived state, rebuilt
 // from the columns and never persisted. Immutable after construction and
@@ -145,7 +145,7 @@ func tableBlocks(t *microdata.Table) (*TupleBlocks, error) {
 	if err != nil {
 		return nil, err
 	}
-	CanonicalizeTuples(t.Schema, c.qi, c.sa)
+	canonicalizeTuples(t.Schema, c.qi, c.sa)
 	return newTupleBlocks(len(t.Schema.SA.Values), c.qi, c.sa), nil
 }
 

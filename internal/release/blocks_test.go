@@ -205,13 +205,13 @@ func TestCanonicalizeTuplesIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	qi, sa := c.qi, c.sa
-	CanonicalizeTuples(rel.Schema, qi, sa)
+	canonicalizeTuples(rel.Schema, qi, sa)
 	again := make([][]float64, len(qi))
 	for j := range qi {
 		again[j] = append([]float64(nil), qi[j]...)
 	}
 	againSA := append([]int32(nil), sa...)
-	CanonicalizeTuples(rel.Schema, again, againSA)
+	canonicalizeTuples(rel.Schema, again, againSA)
 	if !reflect.DeepEqual(qi, again) || !reflect.DeepEqual(sa, againSA) {
 		t.Fatal("canonicalizing canonical columns moved rows")
 	}

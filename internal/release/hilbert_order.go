@@ -116,15 +116,15 @@ func domainMapper(schema *microdata.Schema, maxBits, keyBits int) *hilbert.Mappe
 // of up to 6 dimensions also sort in at most three counting passes.
 const tupleCurveBits = 4
 
-// CanonicalizeTuples permutes a tuple body, held as QI columns (qi[j][i]
+// canonicalizeTuples permutes a tuple body, held as QI columns (qi[j][i]
 // is row i's value in dimension j) plus its SA column, into the canonical
 // serving order of a perturbed release: ascending coarse Hilbert key of
 // each row's QI point, ties kept in their given order. NewSnapshot lays
-// blocks out in this order; the evaluation service's reproduce check puts
-// both the rebuilt and (a copy of) the served columns into it before
-// comparing them. The sort is stable, so the permutation is deterministic
-// and idempotent. qi holds one column per QI dimension of the schema.
-func CanonicalizeTuples(schema *microdata.Schema, qi [][]float64, sa []int32) {
+// blocks out in this order; SamePublication puts a copy of both sides'
+// columns into it before comparing them. The sort is stable, so the
+// permutation is deterministic and idempotent. qi holds one column per
+// QI dimension of the schema.
+func canonicalizeTuples(schema *microdata.Schema, qi [][]float64, sa []int32) {
 	n := len(sa)
 	m := domainMapper(schema, tupleCurveBits, 63)
 	if m == nil || n < 2 {

@@ -114,7 +114,7 @@ func TestIndexPrunes(t *testing.T) {
 // TestQueryValidation: malformed network queries must error, not panic.
 func TestQueryValidation(t *testing.T) {
 	tab := census.Generate(census.Options{N: 500, Seed: 9}).Project(3)
-	snap, err := build(context.Background(), tab, burelSpec(4, 1))
+	_, snap, err := Build(context.Background(), tab, burelSpec(4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func domain(a microdata.Attribute) (lo, hi float64) {
 func TestIndexDirectoryBitsets(t *testing.T) {
 	schema := census.Schema().Project(3)
 	tab := census.Generate(census.Options{N: 3000, Seed: 5}).Project(3)
-	snap, err := build(context.Background(), tab, burelSpec(4, 1))
+	_, snap, err := Build(context.Background(), tab, burelSpec(4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,9 +17,11 @@
 package release
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/anon"
@@ -237,22 +239,65 @@ func NewSnapshot(rel *anon.Release, gridCells int) (*Snapshot, error) {
 	return s, nil
 }
 
-// build runs the anonymization selected by spec over t and returns the
-// queryable snapshot. It is executed on a store worker goroutine; ctx
-// aborts the run.
-func build(ctx context.Context, t *microdata.Table, spec Spec) (*Snapshot, error) {
+// Build runs the anonymization selected by spec over t, projected to
+// spec.QI first, and returns the method's release with its queryable
+// snapshot. The store's build workers serve the snapshot and drop the
+// release; the evaluation service rebuilds a release through it to check
+// an upload and attacks the release's groups. ctx aborts the run.
+func Build(ctx context.Context, t *microdata.Table, spec Spec) (*anon.Release, *Snapshot, error) {
 	if spec.QI > 0 && spec.QI < len(t.Schema.QI) {
 		t = t.Project(spec.QI)
 	}
 	m, err := anon.Lookup(spec.Method)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rel, err := m.Anonymize(ctx, t, spec.Params)
 	if err != nil {
+		return nil, nil, err
+	}
+	snap, err := NewSnapshot(rel, spec.GridCells)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rel, snap, nil
+}
+
+// SamePublication reports whether a and b publish the same release: they
+// encode to the same bytes under EncodeSnapshot, the spec aside. A
+// perturbed release's tuples are compared in canonical order, on a copy,
+// so a snapshot written in anonymizer order before that order existed
+// still matches its rebuild.
+func SamePublication(a, b *Snapshot) (bool, error) {
+	ea, err := publicationBytes(a)
+	if err != nil {
+		return false, err
+	}
+	eb, err := publicationBytes(b)
+	if err != nil {
+		return false, err
+	}
+	return bytes.Equal(ea, eb), nil
+}
+
+// publicationBytes encodes s under an empty spec, a perturbed release's
+// tuples put into canonical order on a copy first.
+func publicationBytes(s *Snapshot) ([]byte, error) {
+	if err := checkRegistrable(s); err != nil {
 		return nil, err
 	}
-	return NewSnapshot(rel, spec.GridCells)
+	if s.Kind == KindPerturbed {
+		qi := make([][]float64, len(s.Tuples.QI))
+		for j, col := range s.Tuples.QI {
+			qi[j] = slices.Clone(col)
+		}
+		sa := slices.Clone(s.Tuples.SA)
+		canonicalizeTuples(s.Schema, qi, sa)
+		c := *s
+		c.Tuples = &TupleBlocks{QI: qi, SA: sa}
+		s = &c
+	}
+	return EncodeSnapshot(s, Spec{})
 }
 
 // NumECs returns the number of published groups, 0 for kinds without them.

@@ -184,8 +184,9 @@ func corrupt(format string, args ...any) error {
 // a decoded snapshot can be re-registered with full metadata and so the
 // grid index is rebuilt at the resolution the release was served at.
 func EncodeSnapshot(snap *Snapshot, spec Spec) ([]byte, error) {
-	if snap == nil || snap.Schema == nil {
-		return nil, fmt.Errorf("release: encode of nil snapshot")
+	payload, columns, err := encodePayload(snap)
+	if err != nil {
+		return nil, err
 	}
 	header, err := json.Marshal(snapHeader{
 		Kind:   snap.Kind,
@@ -197,10 +198,6 @@ func EncodeSnapshot(snap *Snapshot, spec Spec) ([]byte, error) {
 		return nil, err
 	}
 	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		return nil, err
-	}
-	payload, columns, err := encodePayload(snap)
 	if err != nil {
 		return nil, err
 	}
@@ -222,14 +219,14 @@ func EncodeSnapshot(snap *Snapshot, spec Spec) ([]byte, error) {
 // the row data. The binary section is allocated once, at its final
 // length, so the column appenders never regrow it.
 func encodePayload(snap *Snapshot) (*snapPayload, []byte, error) {
+	if err := checkRegistrable(snap); err != nil {
+		return nil, nil, err
+	}
 	p := &snapPayload{Schema: encodeSchema(snap.Schema)}
 	var columns []byte
 	var err error
 	switch snap.Kind {
 	case KindGeneralized:
-		if snap.Index == nil {
-			return nil, nil, fmt.Errorf("release: generalized snapshot without index")
-		}
 		c := snap.Index.Columns()
 		if c.D != len(snap.Schema.QI) || c.M != len(snap.Schema.SA.Values) {
 			return nil, nil, fmt.Errorf("release: EC store spans %d dims and %d SA values, schema %d and %d", c.D, c.M, len(snap.Schema.QI), len(snap.Schema.SA.Values))
@@ -237,9 +234,7 @@ func encodePayload(snap *Snapshot) (*snapPayload, []byte, error) {
 		columns = appendECColumns(append(make([]byte, 0, 1+ecColumnsLen(c.N, c.D, c.M)), binFlagECs), c)
 	case KindAnatomy:
 		var tab *microdata.Table
-		switch {
-		case snap.LDiverse != nil:
-			pub := snap.LDiverse
+		if pub := snap.LDiverse; pub != nil {
 			tab = pub.Table
 			p.Groups = make([][]int, len(pub.Groups))
 			for i := range pub.Groups {
@@ -247,11 +242,9 @@ func encodePayload(snap *Snapshot) (*snapPayload, []byte, error) {
 			}
 			p.GroupSACounts = pub.SACounts
 			p.L = pub.L
-		case snap.Baseline != nil:
+		} else {
 			tab = snap.Baseline.Table
 			p.P = snap.Baseline.P
-		default:
-			return nil, nil, fmt.Errorf("release: anatomy snapshot without publication")
 		}
 		c, err := tableColumns(tab)
 		if err != nil {
@@ -262,9 +255,6 @@ func encodePayload(snap *Snapshot) (*snapPayload, []byte, error) {
 			return nil, nil, err
 		}
 	case KindPerturbed:
-		if snap.Tuples == nil || snap.Scheme == nil || snap.Scheme.Model == nil {
-			return nil, nil, fmt.Errorf("release: perturbed snapshot without tuples or scheme")
-		}
 		m := snap.Scheme.Model
 		p.Model = &snapModel{
 			Beta:          m.Beta,
@@ -279,8 +269,6 @@ func encodePayload(snap *Snapshot) (*snapPayload, []byte, error) {
 		if columns, err = appendTupleColumns(columns, snap.Tuples.QI, snap.Tuples.SA); err != nil {
 			return nil, nil, err
 		}
-	default:
-		return nil, nil, fmt.Errorf("release: unknown kind %q", snap.Kind)
 	}
 	return p, columns, nil
 }
@@ -799,25 +787,20 @@ func decodeAnatomy(p *snapPayload, tuples *tupleCols, schema *microdata.Schema, 
 	}
 	pub := &anatomy.LDiversePublication{Table: t, L: p.L, SACounts: p.GroupSACounts}
 	pub.Groups = make([]microdata.EC, len(p.Groups))
-	seen := make([]bool, t.Len())
 	for gi, rows := range p.Groups {
-		if len(rows) == 0 {
-			return corrupt("group %d is empty", gi)
-		}
-		for _, r := range rows {
-			if r < 0 || r >= t.Len() {
-				return corrupt("group %d references row %d outside table of %d", gi, r, t.Len())
-			}
-			if seen[r] {
-				return corrupt("row %d appears in more than one group", r)
-			}
-			seen[r] = true
-		}
-		if len(p.GroupSACounts[gi]) != m {
-			return corrupt("group %d has %d SA counts, domain %d", gi, len(p.GroupSACounts[gi]), m)
+		pub.Groups[gi] = microdata.EC{Rows: rows}
+	}
+	// The groups must partition the table: a grouping that silently omits
+	// rows would undercount every query instead of failing.
+	if err := (&microdata.Partition{Table: t, ECs: pub.Groups}).Validate(); err != nil {
+		return corrupt("ℓ-diverse groups: %v", err)
+	}
+	for gi, counts := range p.GroupSACounts {
+		if len(counts) != m {
+			return corrupt("group %d has %d SA counts, domain %d", gi, len(counts), m)
 		}
 		sum := 0
-		for v, c := range p.GroupSACounts[gi] {
+		for v, c := range counts {
 			if c < 0 {
 				return corrupt("group %d SA count %d is negative", gi, v)
 			}
@@ -825,17 +808,8 @@ func decodeAnatomy(p *snapPayload, tuples *tupleCols, schema *microdata.Schema, 
 		}
 		// The published multiset must describe exactly the group's rows;
 		// a mismatch would silently skew every estimate the group touches.
-		if sum != len(rows) {
-			return corrupt("group %d SA counts sum to %d for %d rows", gi, sum, len(rows))
-		}
-		pub.Groups[gi] = microdata.EC{Rows: rows}
-	}
-	// Together with the no-duplicates check above this makes the groups a
-	// partition of the table; a grouping that silently omits rows would
-	// undercount every query instead of failing.
-	for r, ok := range seen {
-		if !ok {
-			return corrupt("row %d belongs to no group", r)
+		if sum != len(p.Groups[gi]) {
+			return corrupt("group %d SA counts sum to %d for %d rows", gi, sum, len(p.Groups[gi]))
 		}
 	}
 	snap.LDiverse = pub

@@ -223,7 +223,7 @@ func TestSnapshotRoundTripBuiltRelease(t *testing.T) {
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := build(context.Background(), tab, spec)
+	_, snap, err := Build(context.Background(), tab, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestEncodePayloadExactSize(t *testing.T) {
 		"built_burel":   anon.NewBURELParams(anon.BURELBeta(4), anon.BURELSeed(3)),
 		"built_perturb": anon.NewPerturbParams(anon.PerturbBeta(4), anon.PerturbSeed(3)),
 	} {
-		snap, err := build(context.Background(), tab, Spec{Method: params.Method(), Params: params})
+		_, snap, err := Build(context.Background(), tab, Spec{Method: params.Method(), Params: params})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -583,6 +583,86 @@ func TestSnapshotDecodeV3Fixtures(t *testing.T) {
 	}
 	if !bytes.Equal(again, data) {
 		t.Fatal("frozen v3 snapshot does not re-encode to itself")
+	}
+}
+
+// TestSamePublication: a fixture as built is the same publication as its
+// encode → decode and as its frozen v2 file, and the perturb fixture as
+// its frozen v3 file, whose tuples sit in anonymizer order. Changing any
+// one published value makes a snapshot another publication.
+func TestSamePublication(t *testing.T) {
+	fixtures := codecFixtures(t)
+	same := func(t *testing.T, a, b *Snapshot) bool {
+		t.Helper()
+		ok, err := SamePublication(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+	decode := func(t *testing.T, data []byte) *Snapshot {
+		t.Helper()
+		snap, _, err := DecodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	roundTrip := func(t *testing.T, name string) *Snapshot {
+		t.Helper()
+		data, err := EncodeSnapshot(fixtures[name].snap, fixtures[name].spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return decode(t, data)
+	}
+	frozen := func(t *testing.T, dir, name string) *Snapshot {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join("testdata", dir, name+".snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return decode(t, data)
+	}
+	for name, fx := range fixtures {
+		t.Run(name, func(t *testing.T) {
+			if !same(t, fx.snap, roundTrip(t, name)) {
+				t.Error("not the same publication as its encode → decode")
+			}
+			if !same(t, fx.snap, frozen(t, "v2", name)) {
+				t.Error("not the same publication as its frozen v2 file")
+			}
+		})
+	}
+	if !same(t, fixtures["perturb"].snap, frozen(t, "v3", "perturb")) {
+		t.Error("perturb: not the same publication as its frozen v3 file")
+	}
+
+	// Each change is made to a fresh decode, so no fixture is touched.
+	for _, tc := range []struct {
+		name, fixture string
+		change        func(s *Snapshot)
+	}{
+		{"EC SA count", "burel", func(s *Snapshot) { s.Index.Columns().SACounts[0]++ }},
+		{"header AIL", "burel", func(s *Snapshot) { s.AIL += 0.5 }},
+		{"baseline tuple QI", "anatomy_baseline", func(s *Snapshot) { s.Baseline.Table.Tuples[0].QI[0]++ }},
+		{"baseline P entry", "anatomy_baseline", func(s *Snapshot) { s.Baseline.P[0] += 0.125 }},
+		{"ℓ-diverse tuple QI", "anatomy_ldiverse", func(s *Snapshot) { s.LDiverse.Table.Tuples[0].QI[0]++ }},
+		{"ℓ-diverse group rows", "anatomy_ldiverse", func(s *Snapshot) {
+			g := s.LDiverse.Groups
+			g[0].Rows[0] = g[1].Rows[0]
+		}},
+		{"perturbed tuple QI", "perturb", func(s *Snapshot) { s.Tuples.QI[0][0]++ }},
+		{"model β", "perturb", func(s *Snapshot) { s.Scheme.Model.Beta++ }},
+		{"model variant", "perturb", func(s *Snapshot) { s.Scheme.Model.Variant = likeness.Basic }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := roundTrip(t, tc.fixture)
+			tc.change(s)
+			if same(t, fixtures[tc.fixture].snap, s) {
+				t.Fatal("still the same publication")
+			}
+		})
 	}
 }
 

@@ -381,7 +381,7 @@ func checkRegistrable(snap *Snapshot) error {
 			return fmt.Errorf("release: anatomy snapshot without publication")
 		}
 	case KindPerturbed:
-		if snap.Tuples == nil || snap.Scheme == nil {
+		if snap.Tuples == nil || snap.Scheme == nil || snap.Scheme.Model == nil {
 			return fmt.Errorf("release: perturbed snapshot without tuples or scheme")
 		}
 	default:
@@ -501,7 +501,7 @@ func (s *Store) runBuild(rec *record) {
 	s.mu.Unlock()
 
 	start := time.Now()
-	snap, err := build(rec.ctx, t, spec)
+	_, snap, err := Build(rec.ctx, t, spec)
 	elapsed := time.Since(start)
 	s.stages.Observe("store.build", elapsed)
 

@@ -444,7 +444,7 @@ func TestStoreRegister(t *testing.T) {
 	defer s.Close()
 
 	tab := census.Generate(census.Options{N: 400, Seed: 3}).Project(2)
-	snap, err := build(context.Background(), tab, burelSpec(4, 1))
+	_, snap, err := Build(context.Background(), tab, burelSpec(4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -41,9 +40,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.EvaluateRequest
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		edge.WriteBodyErr(w, fmt.Errorf("decoding request: %w", err))
+	if !edge.DecodeJSON(w, r, s.maxBody, &req) {
 		return
 	}
 	if strings.TrimSpace(req.CSV) == "" {

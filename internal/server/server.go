@@ -228,9 +228,7 @@ func metaToAPI(m release.Meta) api.Release {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req api.CreateReleaseRequest
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		edge.WriteBodyErr(w, fmt.Errorf("decoding request: %w", err))
+	if !edge.DecodeJSON(w, r, s.maxBody, &req) {
 		return
 	}
 	if strings.TrimSpace(req.Method) == "" {
@@ -370,8 +368,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Decode before resolving the release, matching the batch route:
 	// structural checks on the request precede checks on the target.
 	var req api.Query
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxQueryBody)).Decode(&req); err != nil {
-		edge.WriteBodyErr(w, fmt.Errorf("decoding request: %w", err))
+	if !edge.DecodeJSON(w, r, s.maxQueryBody, &req) {
 		return
 	}
 	tr := obs.TraceFrom(r.Context())
