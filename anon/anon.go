@@ -137,6 +137,9 @@ func checkRun(ctx context.Context, t *Table, p Params) error {
 	if t == nil || t.Len() == 0 {
 		return fmt.Errorf("%w: empty table", ErrInvalidParams)
 	}
+	if err := t.Schema.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidParams, err)
+	}
 	if err := p.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidParams, err)
 	}

@@ -171,6 +171,22 @@ func TestAnonymizeRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestAnonymizeRejectsZeroQI: a table whose schema has no QI attribute is
+// invalid input for every registered method, refused with
+// ErrInvalidParams rather than a panic deep inside the scheme.
+func TestAnonymizeRejectsZeroQI(t *testing.T) {
+	tab := census.Generate(census.Options{N: 100, Seed: 42}).Project(0)
+	for _, name := range anon.Methods() {
+		p, err := anon.NewParams(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := anon.Anonymize(context.Background(), tab, p); !errors.Is(err, anon.ErrInvalidParams) {
+			t.Errorf("%s on a zero-QI table: %v, want ErrInvalidParams", name, err)
+		}
+	}
+}
+
 // TestParamsJSONRoundTrip: every params type survives marshal →
 // UnmarshalParams unchanged, so wire transport is lossless.
 func TestParamsJSONRoundTrip(t *testing.T) {

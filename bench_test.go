@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -24,35 +25,66 @@ func benchTable(b *testing.B, n int) *census.Options {
 	return &census.Options{N: n, Seed: 42}
 }
 
-func BenchmarkBUREL100K(b *testing.B) {
-	t := census.Generate(*benchTable(b, 100000)).Project(3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := burel.Anonymize(t, burel.Options{Beta: 4, Seed: 1}); err != nil {
-			b.Fatal(err)
+// BenchmarkGeneralize times BUREL, LMondrian and DMondrian along the
+// axes of Figs. 5–7, whose time sub-figures it keeps: β 1–5 at QI 3,
+// QI 1–5 at β 4, and 20k–100k rows at β 4, sampled from one 100K-row
+// CENSUS table. Each scheme's model is built outside the timed loop.
+func BenchmarkGeneralize(b *testing.B) {
+	base := census.Generate(*benchTable(b, 100000))
+	type instance struct {
+		name     string
+		qi, rows int
+		beta     float64
+	}
+	var instances []instance
+	for i := 1; i <= 5; i++ {
+		instances = append(instances, instance{fmt.Sprintf("beta=%d", i), 3, 100000, float64(i)})
+	}
+	for i := 1; i <= 5; i++ {
+		instances = append(instances, instance{fmt.Sprintf("qi=%d", i), i, 100000, 4})
+	}
+	for i := 1; i <= 5; i++ {
+		instances = append(instances, instance{fmt.Sprintf("rows=%d", 20000*i), 3, 20000 * i, 4})
+	}
+	schemes := []struct {
+		name string
+		// prepare returns the timed run over t at β.
+		prepare func(t *microdata.Table, beta float64) (func() error, error)
+	}{
+		{"BUREL", func(t *microdata.Table, beta float64) (func() error, error) {
+			return func() error {
+				_, err := burel.Anonymize(t, burel.Options{Beta: beta, Seed: 1})
+				return err
+			}, nil
+		}},
+		{"LMondrian", func(t *microdata.Table, beta float64) (func() error, error) {
+			model, err := likeness.NewModel(beta, t)
+			if err != nil {
+				return nil, err
+			}
+			return func() error { mondrian.Anonymize(t, mondrian.BetaLikeness{Model: model}); return nil }, nil
+		}},
+		{"DMondrian", func(t *microdata.Table, beta float64) (func() error, error) {
+			overall := dist.Distribution(t.SADistribution())
+			dd := &likeness.DeltaDisclosure{Delta: likeness.DeltaForBeta(beta, overall), P: overall}
+			return func() error { mondrian.Anonymize(t, mondrian.DeltaDisclosure{Model: dd}); return nil }, nil
+		}},
+	}
+	for _, s := range schemes {
+		for _, in := range instances {
+			b.Run(s.name+"/"+in.name, func(b *testing.B) {
+				t := base.Sample(in.rows, rand.New(rand.NewSource(7))).Project(in.qi)
+				run, err := s.prepare(t, in.beta)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for b.Loop() {
+					if err := run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
-	}
-}
-
-func BenchmarkLMondrian100K(b *testing.B) {
-	t := census.Generate(*benchTable(b, 100000)).Project(3)
-	model, err := likeness.NewModel(4, t)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mondrian.Anonymize(t, mondrian.BetaLikeness{Model: model})
-	}
-}
-
-func BenchmarkDMondrian100K(b *testing.B) {
-	t := census.Generate(*benchTable(b, 100000)).Project(3)
-	overall := dist.Distribution(t.SADistribution())
-	dd := &likeness.DeltaDisclosure{Delta: likeness.DeltaForBeta(4, overall), P: overall}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mondrian.Anonymize(t, mondrian.DeltaDisclosure{Model: dd})
 	}
 }
 

@@ -36,6 +36,9 @@ func main() {
 	out := flag.String("o", "", "output CSV (default stdout)")
 	stats := flag.Bool("stats", true, "print evaluation summary to stderr")
 	flag.Parse()
+	if n := len(census.Schema().QI); *qi < 1 || *qi > n {
+		die(fmt.Errorf("-qi must be in [1, %d], got %d", n, *qi))
+	}
 
 	var r io.Reader = os.Stdin
 	if *in != "" {

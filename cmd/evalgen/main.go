@@ -1,15 +1,21 @@
-// Command evalgen generates privacy/utility trade-off curves over the
-// benchmark corpus (internal/corpus): for every registered anonymization
-// method it sweeps the method's privacy knob, runs the full evaluation
-// job of internal/eval on each point — the same attack suite and utility
-// workload the serving :evaluate endpoint runs — and emits the curves as
-// machine-readable JSON.
+// Command evalgen is the harness for the paper's evaluation. It writes
+// one JSON document with two kinds of curves:
 //
-// The output is deterministic byte for byte for fixed flags: datasets
-// are pure functions of (name, n, seed), evaluations derive every random
-// choice from -eval-seed, and no timestamps are recorded. CI exploits
-// that as a semantic regression gate: a checked-in reference file plus
-// -check fails the build when any curve drifts beyond -tol.
+//   - datasets: privacy/utility trade-off curves over the benchmark
+//     corpus (internal/corpus). For every registered method it sweeps the
+//     privacy knob and runs internal/eval's full evaluation job on each
+//     point — the attack suite and utility workload the serving
+//     :evaluate endpoint runs. The census/burel sweep also carries §7's
+//     table (max_t, avg_t, min_l, avg_l) and Naïve Bayes figure.
+//   - figures: the paper's Figs. 4–9 (fig4a … fig9d; see figures.go),
+//     over a CENSUS table with all five QI attributes and the corpus's
+//     row count, whatever -datasets lists.
+//
+// The output is deterministic byte for byte for fixed flags: tables are
+// pure functions of (name, n, seed), builds are seeded by -seed, every
+// workload derives from -eval-seed, and no timestamps are recorded. CI
+// exploits that as a semantic regression gate: a checked-in reference
+// file plus -check fails the build when any curve drifts beyond -tol.
 //
 // Usage:
 //
@@ -19,10 +25,11 @@
 //
 // Structural guarantees are asserted on every run, independent of
 // -check: BUREL's achieved β must stay within the target β, ℓ-diverse
-// anatomy must deliver min ℓ ≥ ℓ, and each method's information-loss
-// curve must fall (with slack) as its privacy knob loosens. A violated
-// guarantee is a failed run — these are the monotone trade-off shapes
-// the paper reports, and losing one is a correctness bug, not noise.
+// anatomy must deliver min ℓ ≥ ℓ, each method's information-loss curve
+// must fall (with slack) as its privacy knob loosens, and every figure
+// must show the trend the paper reports (assertFigure). A violated
+// guarantee is a failed run — these are the trade-off shapes the paper
+// reports, and losing one is a correctness bug, not noise.
 package main
 
 import (
@@ -30,12 +37,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/anon"
+	"repro/internal/census"
 	"repro/internal/corpus"
 	"repro/internal/eval"
 	"repro/internal/microdata"
@@ -53,13 +62,15 @@ type Point struct {
 	Verdict *api.EvalVerdict `json:"verdict,omitempty"`
 }
 
-// Curves is the output document: per dataset, per method, the sweep.
+// Curves is the output document: per dataset, per method, the sweep;
+// and per figure of the paper, its curves.
 type Curves struct {
 	N        int                           `json:"n"`
 	Seed     int64                         `json:"seed"`
 	EvalSeed int64                         `json:"eval_seed"`
 	Queries  int                           `json:"queries"`
 	Datasets map[string]map[string][]Point `json:"datasets"`
+	Figures  map[string]Figure             `json:"figures"`
 }
 
 // sweep is one method's knob schedule.
@@ -93,7 +104,7 @@ func sweeps(seed int64) []sweep {
 }
 
 func main() {
-	n := flag.Int("n", 2000, "rows per corpus table")
+	n := flag.Int("n", 2000, "rows per corpus table and of the figures' table")
 	seed := flag.Int64("seed", 1, "corpus generation and anonymization seed")
 	evalSeed := flag.Int64("eval-seed", 1, "evaluation workload seed")
 	queries := flag.Int("queries", 100, "utility workload size per aggregate")
@@ -134,6 +145,20 @@ func main() {
 				fmt.Fprintf(os.Stderr, "evalgen: GUARANTEE VIOLATED: %v\n", err)
 				failed = true
 			}
+		}
+	}
+
+	// The figures' table: CENSUS with all five QI attributes, as many
+	// rows as a corpus table.
+	full := census.Generate(census.Options{N: corpus.Rows(*n), Seed: *seed})
+	var err error
+	if curves.Figures, err = figures(ctx, full, *seed, *evalSeed, *queries); err != nil {
+		fatal(err)
+	}
+	for _, name := range sortedKeys(curves.Figures) {
+		if err := assertFigure(name, curves.Figures[name]); err != nil {
+			fmt.Fprintf(os.Stderr, "evalgen: GUARANTEE VIOLATED: %v\n", err)
+			failed = true
 		}
 	}
 
@@ -204,12 +229,29 @@ func assertCurveShape(ds string, sw sweep, points []Point) error {
 	switch sw.method {
 	case anon.MethodBUREL:
 		for _, pt := range ok {
-			if pt.Verdict.Privacy == nil {
-				return fmt.Errorf("%s/burel beta=%g: no privacy block", ds, pt.Value)
+			p, a := pt.Verdict.Privacy, pt.Verdict.Attacks
+			if p == nil || a == nil {
+				return fmt.Errorf("%s/burel beta=%g: no privacy or attacks block", ds, pt.Value)
 			}
-			if pt.Verdict.Privacy.AchievedBeta > pt.Value+1e-9 {
-				return fmt.Errorf("%s/burel beta=%g: achieved β %g exceeds the target", ds, pt.Value, pt.Verdict.Privacy.AchievedBeta)
+			if p.AchievedBeta > pt.Value+1e-9 {
+				return fmt.Errorf("%s/burel beta=%g: achieved β %g exceeds the target", ds, pt.Value, p.AchievedBeta)
 			}
+			// §7's table: the ℓ BUREL achieves stays at levels where the
+			// de Finetti attack does poorly.
+			if p.AvgL < float64(p.MinL) || (ds == corpus.Census && p.MinL < 3) {
+				return fmt.Errorf("%s/burel beta=%g: min ℓ %d, avg ℓ %g", ds, pt.Value, p.MinL, p.AvgL)
+			}
+			// §7's figure: β-likeness bounds what Naïve Bayes exploits,
+			// so its accuracy stays near the modal SA share.
+			if a.NaiveBayes > 3*a.Baseline {
+				return fmt.Errorf("%s/burel beta=%g: Naïve Bayes accuracy %g is over 3× the modal share %g", ds, pt.Value, a.NaiveBayes, a.Baseline)
+			}
+		}
+		// Looser likeness gives looser closeness; max EMD is noisy point
+		// to point, so only the ends are compared.
+		if first, last := ok[0], ok[len(ok)-1]; last.Verdict.Privacy.MaxT <= first.Verdict.Privacy.MaxT {
+			return fmt.Errorf("%s/burel: max EMD does not grow from beta=%g (%g) to beta=%g (%g)",
+				ds, first.Value, first.Verdict.Privacy.MaxT, last.Value, last.Verdict.Privacy.MaxT)
 		}
 		return assertFalling(ds, sw, ok, slack, func(v *api.EvalVerdict) float64 { return v.Privacy.AIL })
 	case anon.MethodSABRE:
@@ -258,7 +300,8 @@ func assertFalling(ds string, sw sweep, points []Point, slack float64, y func(*a
 
 // compare diffs two curve documents: identical shape, and every measured
 // value within max(0.02, tol·|ref|). The shape fields compared are the
-// ones the paper's figures plot.
+// ones the paper's figures plot. Datasets and figures absent from the
+// reference are not compared.
 func compare(got, ref Curves, tol float64) []string {
 	var diffs []string
 	if got.N != ref.N || got.Seed != ref.Seed || got.EvalSeed != ref.EvalSeed || got.Queries != ref.Queries {
@@ -266,23 +309,13 @@ func compare(got, ref Curves, tol float64) []string {
 			got.N, got.Seed, got.EvalSeed, got.Queries, ref.N, ref.Seed, ref.EvalSeed, ref.Queries))
 		return diffs
 	}
-	names := make([]string, 0, len(ref.Datasets))
-	for ds := range ref.Datasets {
-		names = append(names, ds)
-	}
-	sort.Strings(names)
-	for _, ds := range names {
+	for _, ds := range sortedKeys(ref.Datasets) {
 		gotDS, ok := got.Datasets[ds]
 		if !ok {
 			diffs = append(diffs, fmt.Sprintf("dataset %s missing from this run", ds))
 			continue
 		}
-		methods := make([]string, 0, len(ref.Datasets[ds]))
-		for m := range ref.Datasets[ds] {
-			methods = append(methods, m)
-		}
-		sort.Strings(methods)
-		for _, m := range methods {
+		for _, m := range sortedKeys(ref.Datasets[ds]) {
 			refPts, gotPts := ref.Datasets[ds][m], gotDS[m]
 			if len(refPts) != len(gotPts) {
 				diffs = append(diffs, fmt.Sprintf("%s/%s: %d points vs %d in reference", ds, m, len(gotPts), len(refPts)))
@@ -310,7 +343,36 @@ func compare(got, ref Curves, tol float64) []string {
 			}
 		}
 	}
+	for _, name := range sortedKeys(ref.Figures) {
+		rf := ref.Figures[name]
+		gf, ok := got.Figures[name]
+		if !ok {
+			diffs = append(diffs, fmt.Sprintf("figure %s missing from this run", name))
+			continue
+		}
+		if !slices.Equal(gf.X, rf.X) {
+			diffs = append(diffs, fmt.Sprintf("%s: x grid %v, reference %v", name, gf.X, rf.X))
+			continue
+		}
+		for _, s := range sortedKeys(rf.Series) {
+			gy, ry := gf.Series[s], rf.Series[s]
+			if len(gy) != len(ry) {
+				diffs = append(diffs, fmt.Sprintf("%s/%s: %d values vs %d in reference", name, s, len(gy), len(ry)))
+				continue
+			}
+			for i := range ry {
+				if !within(gy[i], ry[i], tol) {
+					diffs = append(diffs, fmt.Sprintf("%s/%s at x=%g: %g, reference %g (tol %g)", name, s, rf.X[i], gy[i], ry[i], tol))
+				}
+			}
+		}
+	}
 	return diffs
+}
+
+// sortedKeys returns a map's keys in order, so reports are deterministic.
+func sortedKeys[V any](m map[string]V) []string {
+	return slices.Sorted(maps.Keys(m))
 }
 
 type fieldDiff struct {

@@ -10,9 +10,9 @@
 // wire contract); the algorithm internals live under internal/. See
 // README.md for the package map and the HTTP API, and DESIGN.md for the
 // system inventory and the architecture of the public API and the
-// release/serving layer. The benchmarks in bench_test.go regenerate each
-// table and figure; cmd/serve runs the anonymization/query service — as
-// a single durable node or, with -gateway/-node-id, as a sharded
-// multi-node cluster with snapshot replication and scatter/gather query
-// routing (internal/cluster).
+// release/serving layer. cmd/evalgen reproduces the paper's figures and
+// checks them against reference curves; cmd/serve runs the
+// anonymization/query service — as a single durable node or, with
+// -gateway/-node-id, as a sharded multi-node cluster with snapshot
+// replication and scatter/gather query routing (internal/cluster).
 package repro

@@ -37,7 +37,6 @@ var forbiddenForCmds = []string{
 	"repro/internal/anatomy",
 	"repro/internal/perturb",
 	"repro/internal/sabre",
-	"repro/internal/experiments",
 }
 
 // TestExamplesAndPkgImportGuard is the CI guard of the public API

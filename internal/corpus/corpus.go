@@ -35,11 +35,18 @@ const (
 // Datasets lists the corpus names, stable order.
 func Datasets() []string { return []string{Census, Healthcare, Salary} }
 
-// Generate builds a corpus table. n ≤ 0 selects 5000 rows.
-func Generate(name string, n int, seed int64) (*microdata.Table, error) {
+// Rows is the row count of a corpus table asked for n rows: n, or 5000
+// when n ≤ 0.
+func Rows(n int) int {
 	if n <= 0 {
-		n = 5000
+		return 5000
 	}
+	return n
+}
+
+// Generate builds a corpus table of Rows(n) rows.
+func Generate(name string, n int, seed int64) (*microdata.Table, error) {
+	n = Rows(n)
 	switch strings.ToLower(name) {
 	case Census:
 		return census.Generate(census.Options{N: n, Seed: seed}).Project(3), nil

@@ -2,12 +2,11 @@
 // a generalization-based release: average information loss (Eq. 5), the
 // privacy levels the release actually achieves under β-likeness,
 // t-closeness, and ℓ-diversity, and basic partition statistics. It is the
-// shared currency of the experiment harness and the CLIs.
+// shared currency of the evaluation job (internal/eval) and the CLIs.
 package metrics
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/likeness"
@@ -55,43 +54,4 @@ func (e Evaluation) String() string {
 	return fmt.Sprintf("%s: ECs=%d minEC=%d AIL=%.4f realβ=%.3f t=%.4f avg_t=%.4f ℓ=%d avg_ℓ=%.1f time=%v",
 		e.Algorithm, e.NumECs, e.MinECSize, e.AIL, e.AchievedBeta, e.MaxT, e.AvgT, e.MinL, e.AvgL,
 		e.Elapsed.Round(time.Millisecond))
-}
-
-// Series is one labeled line of a figure: y-values over shared x-values.
-type Series struct {
-	Label string
-	Y     []float64
-}
-
-// Figure is a printable reproduction of one paper figure: named x-axis
-// values and one series per algorithm.
-type Figure struct {
-	Title  string
-	XLabel string
-	YLabel string
-	X      []float64
-	Series []Series
-}
-
-// Render prints the figure as an aligned text table, one row per x-value.
-func (f Figure) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", f.Title)
-	fmt.Fprintf(&b, "%-10s", f.XLabel)
-	for _, s := range f.Series {
-		fmt.Fprintf(&b, "%16s", s.Label)
-	}
-	b.WriteByte('\n')
-	for i, x := range f.X {
-		fmt.Fprintf(&b, "%-10.4g", x)
-		for _, s := range f.Series {
-			if i < len(s.Y) {
-				fmt.Fprintf(&b, "%16.4f", s.Y[i])
-			} else {
-				fmt.Fprintf(&b, "%16s", "-")
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -76,25 +76,3 @@ func TestEvaluateMatchesComponents(t *testing.T) {
 		t.Fatalf("implausible measurements: %+v", ev)
 	}
 }
-
-func TestFigureRender(t *testing.T) {
-	f := Figure{
-		Title:  "demo",
-		XLabel: "x",
-		X:      []float64{1, 2, 3},
-		Series: []Series{
-			{Label: "alpha", Y: []float64{0.1, 0.2, 0.3}},
-			{Label: "beta", Y: []float64{0.4, 0.5}}, // short series: renders "-"
-		},
-	}
-	out := f.Render()
-	for _, want := range []string{"demo", "alpha", "beta", "0.1000", "-"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Render missing %q:\n%s", want, out)
-		}
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 2+len(f.X) {
-		t.Errorf("line count = %d", len(lines))
-	}
-}
