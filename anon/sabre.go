@@ -27,7 +27,8 @@ type SABREParams struct {
 	// fixed seed and input.
 	Seed int64 `json:"seed,omitempty"`
 	// HilbertBits is the space-filling-curve resolution used to cluster
-	// EC members (0 = default 10).
+	// EC members (0 = default 10; capped at 32 and so that
+	// dims·bits ≤ 63).
 	HilbertBits int `json:"hilbert_bits,omitempty"`
 }
 

@@ -3,6 +3,7 @@ package anon_test
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/anon"
@@ -80,5 +81,27 @@ func TestSABRERegistered(t *testing.T) {
 	}
 	if sp := back.(*anon.SABREParams); sp.T != 0.2 || sp.HilbertBits != 8 {
 		t.Fatalf("round-trip %+v", sp)
+	}
+}
+
+// TestSABREHilbertBitsCapped: every hilbert_bits that Validate accepts
+// runs. On a one-QI table, 33–63 bits pass the curve's 32-bit coordinate
+// limit; the mapper caps them at 32, as it caps d·bits at 63 on wider
+// tables, so they publish what 32 bits publish.
+func TestSABREHilbertBitsCapped(t *testing.T) {
+	tab := census.Generate(census.Options{N: 600, Seed: 11}).Project(1)
+	run := func(bits int) *anon.Release {
+		t.Helper()
+		rel, err := anon.Anonymize(context.Background(), tab, anon.NewSABREParams(anon.SABRET(0.2), anon.SABREHilbertBits(bits)))
+		if err != nil {
+			t.Fatalf("hilbert_bits %d: %v", bits, err)
+		}
+		return rel
+	}
+	want := run(32)
+	for _, bits := range []int{33, 40, 63} {
+		if got := run(bits); !reflect.DeepEqual(got.ECs, want.ECs) {
+			t.Errorf("hilbert_bits %d: %d ECs differ from 32 bits' %d", bits, got.NumECs(), want.NumECs())
+		}
 	}
 }

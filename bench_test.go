@@ -128,15 +128,14 @@ func BenchmarkReconstruct(b *testing.B) {
 }
 
 func BenchmarkHilbertIndex(b *testing.B) {
-	c := hilbert.MustNew(3, 10)
-	m, err := hilbert.NewMapper(c, []float64{0, 0, 0}, []float64{100, 100, 100})
+	m, err := hilbert.NewMapper([]float64{0, 0, 0}, []float64{100, 100, 100}, 10, 63)
 	if err != nil {
 		b.Fatal(err)
 	}
 	point := []float64{17, 83, 42}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Index(point)
+	buf := make([]uint32, len(point))
+	for b.Loop() {
+		m.IndexInto(point, buf)
 	}
 }
 

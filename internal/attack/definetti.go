@@ -55,9 +55,7 @@ func DeFinetti(ctx context.Context, rel *GroupedRelease, iters int) (float64, er
 	offset := make([]float64, d)
 	for j, a := range t.Schema.QI {
 		card[j] = a.Cardinality()
-		if a.Kind == microdata.Numeric {
-			offset[j] = a.Min
-		}
+		offset[j], _ = a.Bounds()
 	}
 	cell := func(r, j int) int {
 		x := int(t.Tuples[r].QI[j] - offset[j])

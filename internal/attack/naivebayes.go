@@ -47,9 +47,7 @@ func BuildNaiveBayes(p *microdata.Partition) *NaiveBayes {
 	for j, a := range t.Schema.QI {
 		card := a.Cardinality()
 		nb.card[j] = card
-		if a.Kind == microdata.Numeric {
-			nb.offset[j] = a.Min
-		}
+		nb.offset[j], _ = a.Bounds()
 		// Difference array of per-SA mass vectors over the attribute's
 		// discrete positions: each EC adds its SA counts to every
 		// position its published box covers.

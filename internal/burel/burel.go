@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/hilbert"
 	"repro/internal/likeness"
@@ -21,7 +20,7 @@ type Options struct {
 	// a fixed seed.
 	Seed int64
 	// HilbertBits is the per-dimension resolution of the space-filling
-	// curve (default 10; capped so dims·bits ≤ 63).
+	// curve (default 10; capped at 32 and so that dims·bits ≤ 63).
 	HilbertBits int
 	// Headroom shrinks the Lemma 2 budget during bucketization to
 	// f(p_ℓ)·(1−Headroom), reserving slack for the reallocation phase:
@@ -176,15 +175,19 @@ type Retriever struct {
 	buckets []*tupleBucket
 }
 
-// NewRetriever Hilbert-sorts each bucket of table rows.
+// NewRetriever puts each bucket of table rows in Hilbert order (curveOrder).
 func NewRetriever(t *microdata.Table, bucketRows [][]int, bits int) (*Retriever, error) {
-	mapper, err := qiMapper(t, bits)
-	if err != nil {
-		return nil, err
-	}
 	r := &Retriever{buckets: make([]*tupleBucket, len(bucketRows))}
 	for s, rows := range bucketRows {
-		r.buckets[s] = sortBucket(t, rows, mapper)
+		ord, keys, err := curveOrder(t, rows, bits)
+		if err != nil {
+			return nil, err
+		}
+		sorted, sortedKeys := make([]int, len(rows)), make([]uint64, len(rows))
+		for i, o := range ord {
+			sorted[i], sortedKeys[i] = rows[o], keys[o]
+		}
+		r.buckets[s] = newTupleBucket(sorted, sortedKeys)
 	}
 	return r, nil
 }
@@ -199,14 +202,10 @@ const (
 	// compact as early ones; this gives the best information quality
 	// and is the default.
 	AlignedSweep SeedStrategy = iota
-	// SweepSeed seeds each EC at the lowest unconsumed Hilbert position
-	// of its largest contributing bucket and takes every bucket's
-	// nearest neighbours of that seed. Buckets drift apart over the
-	// run; kept for the ablation benchmarks.
-	SweepSeed
 	// RandomSeed picks a random remaining tuple of the largest
-	// contributing bucket, the literal reading of §4.5; kept for the
-	// ablation benchmarks.
+	// contributing bucket, the literal reading of §4.5, and takes every
+	// bucket's nearest neighbours of it; kept for the ablation
+	// benchmarks.
 	RandomSeed
 )
 
@@ -240,12 +239,7 @@ func (r *Retriever) MaterializeSeeded(leaves []ECSizes, rng *rand.Rand, strategy
 			if leaf[seedBucket] == 0 {
 				continue // all-zero leaf; cannot arise from BiSplit
 			}
-			var seedKey uint64
-			if strategy == RandomSeed {
-				seedKey = r.buckets[seedBucket].pickSeedKey(rng)
-			} else {
-				seedKey = r.buckets[seedBucket].headKey()
-			}
+			seedKey := r.buckets[seedBucket].pickSeedKey(rng)
 			for j, x := range leaf {
 				if x == 0 {
 					continue
@@ -260,48 +254,20 @@ func (r *Retriever) MaterializeSeeded(leaves []ECSizes, rng *rand.Rand, strategy
 	return ecs
 }
 
-// qiMapper builds the Hilbert mapper over the table's QI domain box.
-func qiMapper(t *microdata.Table, bits int) (*hilbert.Mapper, error) {
-	d := len(t.Schema.QI)
-	if bits <= 0 {
-		bits = 10
+// curveOrder returns the positions of rows in ascending Hilbert order of
+// their QI points over the table's QI domain, at bits per dimension
+// under hilbert.NewMapper's rule, equal keys in position order, beside
+// each row's key.
+func curveOrder(t *microdata.Table, rows []int, bits int) ([]int32, []uint64, error) {
+	box := t.Schema.Bounds()
+	m, err := hilbert.NewMapper(box.Lo, box.Hi, bits, 63)
+	if err != nil {
+		return nil, nil, fmt.Errorf("burel: %w", err)
 	}
-	if d*bits > 63 {
-		bits = 63 / d
-	}
-	lo := make([]float64, d)
-	hi := make([]float64, d)
-	for j, a := range t.Schema.QI {
-		if a.Kind == microdata.Numeric {
-			lo[j], hi[j] = a.Min, a.Max
-		} else {
-			lo[j], hi[j] = 0, float64(a.Hierarchy.NumLeaves()-1)
-		}
-	}
-	return hilbert.NewMapper(hilbert.MustNew(d, bits), lo, hi)
-}
-
-// sortBucket orders a bucket's rows by Hilbert index.
-func sortBucket(t *microdata.Table, rows []int, mapper *hilbert.Mapper) *tupleBucket {
 	keys := make([]uint64, len(rows))
+	buf := make([]uint32, len(box.Lo))
 	for i, r := range rows {
-		keys[i] = mapper.Index(t.Tuples[r].QI)
+		keys[i] = m.IndexInto(t.Tuples[r].QI, buf)
 	}
-	order := make([]int, len(rows))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if keys[order[a]] != keys[order[b]] {
-			return keys[order[a]] < keys[order[b]]
-		}
-		return rows[order[a]] < rows[order[b]]
-	})
-	sortedRows := make([]int, len(rows))
-	sortedKeys := make([]uint64, len(rows))
-	for i, o := range order {
-		sortedRows[i] = rows[o]
-		sortedKeys[i] = keys[o]
-	}
-	return newTupleBucket(sortedRows, sortedKeys)
+	return hilbert.Order(keys), keys, nil
 }

@@ -2,7 +2,6 @@ package burel
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/likeness"
 	"repro/internal/microdata"
@@ -31,16 +30,10 @@ func MaterializeSlabs(t *microdata.Table, leaves []ECSizes, saFreq []float64, f 
 	return ecs
 }
 
-// MaterializeSlabsModel materializes slabs against a full likeness model,
-// honoring its BoundNegative floors in addition to the f(p) caps.
-func MaterializeSlabsModel(t *microdata.Table, leaves []ECSizes, model *likeness.Model, bits int) []microdata.EC {
-	ecs, _ := MaterializeSlabsModelContext(context.Background(), t, leaves, model, bits)
-	return ecs
-}
-
-// MaterializeSlabsModelContext is MaterializeSlabsModel with cooperative
-// cancellation: ctx is checked once per materialized EC, and a canceled
-// run returns the ctx error instead of the slabs.
+// MaterializeSlabsModelContext materializes slabs against a full
+// likeness model, honoring its BoundNegative floors in addition to the
+// f(p) caps. ctx is checked once per materialized EC, and a canceled run
+// returns the ctx error instead of the slabs.
 func MaterializeSlabsModelContext(ctx context.Context, t *microdata.Table, leaves []ECSizes, model *likeness.Model, bits int) ([]microdata.EC, error) {
 	var minf func(float64) float64
 	if model.BoundNegative {
@@ -54,27 +47,17 @@ func materializeSlabs(ctx context.Context, t *microdata.Table, leaves []ECSizes,
 	if n == 0 || len(leaves) == 0 {
 		return nil, nil
 	}
-	mapper, err := qiMapper(t, bits)
-	if err != nil {
-		// Cannot happen for a validated schema; degrade to one EC.
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		return []microdata.EC{{Rows: all}}, nil
-	}
 	order := make([]int, n)
-	keys := make([]uint64, n)
 	for i := range order {
 		order[i] = i
-		keys[i] = mapper.Index(t.Tuples[i].QI)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if keys[order[a]] != keys[order[b]] {
-			return keys[order[a]] < keys[order[b]]
-		}
-		return order[a] < order[b]
-	})
+	ord, _, err := curveOrder(t, order, bits)
+	if err != nil {
+		return nil, err
+	}
+	for i, o := range ord {
+		order[i] = int(o)
+	}
 
 	// Per-value frequency caps; count_v ≤ cap_v·|G| (+ integer slack).
 	caps := make([]float64, len(saFreq))

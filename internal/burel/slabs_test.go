@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/census"
+	"repro/internal/hilbert"
 	"repro/internal/likeness"
 	"repro/internal/microdata"
 )
@@ -52,16 +53,18 @@ func TestMaterializeSlabsContiguous(t *testing.T) {
 		leaves = append(leaves, ECSizes{250})
 	}
 	ecs := MaterializeSlabs(tab, leaves, model.P, model.MaxFreq, 10)
-	mapper, err := qiMapper(tab, 10)
+	box := tab.Schema.Bounds()
+	mapper, err := hilbert.NewMapper(box.Lo, box.Hi, 10, 63)
 	if err != nil {
 		t.Fatal(err)
 	}
+	buf := make([]uint32, len(box.Lo))
 	type span struct{ lo, hi uint64 }
 	var spans []span
 	for i := range ecs {
 		lo, hi := ^uint64(0), uint64(0)
 		for _, r := range ecs[i].Rows {
-			k := mapper.Index(tab.Tuples[r].QI)
+			k := mapper.IndexInto(tab.Tuples[r].QI, buf)
 			if k < lo {
 				lo = k
 			}

@@ -78,8 +78,12 @@ type nodeState struct {
 	// probe closes it again: probe-driven half-open, with no request-path
 	// retries against a known-dead node in between.
 	alive atomic.Bool
-	// inflight counts requests the gateway currently has outstanding
-	// against the node; scatter/gather picks the least-loaded replica.
+	// inflight counts client requests the gateway currently has
+	// outstanding against the node (forward); scatter/gather picks the
+	// least-loaded replica. The gateway's own traffic — probes, catalog
+	// sweeps, replication, debug fetches — is not load here, so it
+	// cannot move a client's sub-batch to a replica whose cache is cold
+	// for it.
 	inflight atomic.Int64
 	// fails counts consecutive probe failures, for /v1/cluster/status.
 	fails atomic.Int64
@@ -168,13 +172,10 @@ type nodeResponse struct {
 
 // call performs one gateway-to-node round trip under ctx and returns the
 // buffered answer, whatever its status. It sends the cluster token only
-// on internal paths, forwards the edge request ID so the node's logs and
-// traces join the caller's under one ID, and counts the call in the
-// node's in-flight load. A transport failure opens the node's breaker
-// only if ctx had not already ended.
+// on internal paths and forwards the edge request ID so the node's logs
+// and traces join the caller's under one ID. A transport failure opens
+// the node's breaker only if ctx had not already ended.
 func (m *Membership) call(ctx context.Context, st *nodeState, method, path string, body []byte) (*nodeResponse, error) {
-	st.inflight.Add(1)
-	defer st.inflight.Add(-1)
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -205,6 +206,14 @@ func (m *Membership) call(ctx context.Context, st *nodeState, method, path strin
 		return nil, err
 	}
 	return &nodeResponse{status: resp.StatusCode, header: resp.Header, body: data}, nil
+}
+
+// forward is call for a client's request: it counts the call in the
+// node's in-flight load, which orders the node among its replicas.
+func (m *Membership) forward(ctx context.Context, st *nodeState, method, path string, body []byte) (*nodeResponse, error) {
+	st.inflight.Add(1)
+	defer st.inflight.Add(-1)
+	return m.call(ctx, st, method, path, body)
 }
 
 // callOK is call for callers that treat any answer outside 2xx as a
@@ -269,6 +278,13 @@ func (m *Membership) catalogs(ctx context.Context) []*api.ListReleasesResponse {
 	return out
 }
 
+// minProbeTimeout floors a probe's deadline, which is otherwise the
+// probe interval: at a fast cadence (tests run at 25 ms) a scheduling
+// stall on a healthy node, or on the gateway, would outlast the
+// interval and open the node's breaker. A node that is down refuses the
+// connection at once, so the floor only delays noticing a hung one.
+const minProbeTimeout = time.Second
+
 // probeLoop re-probes every member on the interval until ctx ends. The
 // first sweep runs immediately so a node that was down at gateway start
 // is discovered within one round-trip, not one interval.
@@ -276,7 +292,7 @@ func (m *Membership) probeLoop(ctx context.Context, every time.Duration) {
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	for {
-		m.probeAll(ctx, every)
+		m.probeAll(ctx, max(every, minProbeTimeout))
 		select {
 		case <-ctx.Done():
 			return
@@ -287,8 +303,8 @@ func (m *Membership) probeLoop(ctx context.Context, every time.Duration) {
 
 // probeAll probes every node concurrently and settles before returning.
 // Each probe is bounded by timeout so a hung node cannot stall the sweep
-// past the probe interval; any failure, a timeout included, opens the
-// node's breaker and a success closes it.
+// for long; any failure, a timeout included, opens the node's breaker
+// and a success closes it.
 func (m *Membership) probeAll(ctx context.Context, timeout time.Duration) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()

@@ -259,7 +259,7 @@ func (g *Gateway) relayMiss(w http.ResponseWriter, releaseID string, m *missTrac
 func (g *Gateway) tryNodes(w http.ResponseWriter, r *http.Request, candidates []*nodeState, method, path string, body []byte, what, releaseID string) {
 	var misses missTracker
 	for _, st := range candidates {
-		nr, err := g.mem.call(r.Context(), st, method, path, body)
+		nr, err := g.mem.forward(r.Context(), st, method, path, body)
 		if err != nil {
 			if r.Context().Err() != nil {
 				return // client went away; nothing to relay
@@ -320,7 +320,7 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, st := range candidates {
-		nr, err := g.mem.call(r.Context(), st, http.MethodPost, "/v1/releases", body)
+		nr, err := g.mem.forward(r.Context(), st, http.MethodPost, "/v1/releases", body)
 		if err != nil {
 			if r.Context().Err() != nil {
 				return
@@ -622,7 +622,7 @@ func (g *Gateway) dispatchChunk(r *http.Request, releaseID string, ch subBatch, 
 		// sub-batch spans against different nodes in the same trace.
 		endSpan := tr.StartSpanNode("gateway.subbatch", st.node.ID)
 		attemptStart := time.Now()
-		nr, err := g.mem.call(r.Context(), st, http.MethodPost, "/v1/query:batch", body)
+		nr, err := g.mem.forward(r.Context(), st, http.MethodPost, "/v1/query:batch", body)
 		g.stages.Observe("gateway.subbatch", time.Since(attemptStart))
 		endSpan()
 		if err != nil {

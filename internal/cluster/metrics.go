@@ -69,7 +69,7 @@ func (g *Gateway) writeMetrics(buf *bytes.Buffer, openMetrics bool) {
 		}
 		fmt.Fprintf(buf, "repro_gateway_node_up{node=%q} %d\n", st.node.ID, up)
 	}
-	edge.WriteFamily(buf, "repro_gateway_node_inflight", "gauge", "Requests currently outstanding against each node.")
+	edge.WriteFamily(buf, "repro_gateway_node_inflight", "gauge", "Client requests currently outstanding against each node.")
 	for _, st := range g.mem.nodes {
 		fmt.Fprintf(buf, "repro_gateway_node_inflight{node=%q} %d\n", st.node.ID, st.inflight.Load())
 	}

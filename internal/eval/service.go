@@ -252,23 +252,20 @@ func (s *Service) Submit(ctx context.Context, id string, tab *microdata.Table, p
 		done()
 		return Meta{}, fmt.Errorf("%w: %s", ErrRunning, id)
 	}
+	// Submit is the queue's only sender and holds mu, so a queue with
+	// room now still has room at the send: a full one is refused before
+	// anything is logged, and the release's earlier verdict stands.
+	if len(s.jobs) == cap(s.jobs) {
+		done()
+		return Meta{}, ErrQueueFull
+	}
 	if s.man != nil {
 		if err := s.appendSubmitted(rec.meta); err != nil {
 			done()
 			return Meta{}, fmt.Errorf("eval: logging submission: %w", err)
 		}
 	}
-	select {
-	case s.jobs <- rec:
-	default:
-		// The submitted record is already durable; pair it with a terminal
-		// one so replay never sees this refusal as an interrupted job.
-		rec.meta.Status = StatusFailed
-		rec.meta.Error = ErrQueueFull.Error()
-		s.appendTerminal(rec.meta)
-		done()
-		return Meta{}, ErrQueueFull
-	}
+	s.jobs <- rec
 	s.byID[id] = rec
 	return rec.meta, nil
 }
@@ -305,10 +302,6 @@ func (s *Service) worker() {
 func (s *Service) runJob(rec *job) {
 	defer rec.done()
 	s.mu.Lock()
-	if rec.meta.Status != StatusPending { // failed while queued (queue-full race)
-		s.mu.Unlock()
-		return
-	}
 	rec.meta.Status = StatusRunning
 	s.mu.Unlock()
 

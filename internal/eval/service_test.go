@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -271,6 +272,65 @@ func TestSubmitterCancelFailsQueuedEvaluation(t *testing.T) {
 	}
 	if m := waitTerminal(t, svc, busyID); m.Status != StatusDone {
 		t.Fatalf("uncancelled evaluation ended %s: %s", m.Status, m.Error)
+	}
+}
+
+// TestQueueFullLeavesNoRecord: a Submit refused because the job queue is
+// full writes nothing to the eval log, so after a restart the release's
+// evaluation still reads the verdict it had before the refusal.
+func TestQueueFullLeavesNoRecord(t *testing.T) {
+	dir := t.TempDir()
+	store, err := release.Open(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	id, tab := buildRelease(t, store)
+	otherID, otherTab := buildRelease(t, store)
+	otherSnap, err := store.Snapshot(otherID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	svc, err := NewService(store, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := svc.Submit(ctx, id, tab, Params{Queries: 20}); err != nil {
+		t.Fatal(err)
+	}
+	if m := waitTerminal(t, svc, id); m.Status != StatusDone {
+		t.Fatalf("first evaluation ended %s: %s", m.Status, m.Error)
+	}
+
+	// Hold the one worker inside a job of the other release, then fill
+	// the queue behind it.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	hold := make(chan struct{})
+	newJob := func(done func()) *job {
+		return &job{meta: Meta{ReleaseID: otherID, Status: StatusPending}, table: otherTab, snap: otherSnap, ctx: cancelled, done: done}
+	}
+	taken := make(chan struct{})
+	svc.jobs <- newJob(func() { close(taken); <-hold })
+	<-taken
+	for len(svc.jobs) < cap(svc.jobs) {
+		svc.jobs <- newJob(func() {})
+	}
+	if _, err := svc.Submit(ctx, id, tab, Params{Queries: 20}); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submit to a full queue: %v, want %v", err, ErrQueueFull)
+	}
+	close(hold)
+	svc.Close()
+
+	svc2, err := NewService(store, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Close()
+	if m, ok := svc2.Get(id); !ok || m.Status != StatusDone || m.Verdict == nil {
+		t.Fatalf("after a restart the evaluation reads %s %q, want its earlier verdict", m.Status, m.Error)
 	}
 }
 

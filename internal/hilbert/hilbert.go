@@ -1,15 +1,29 @@
-// Package hilbert implements a d-dimensional Hilbert space-filling curve.
+// Package hilbert implements a d-dimensional Hilbert space-filling curve
+// and the one way rows are put in curve order over the QI domain.
+//
 // BUREL (§4.5 of the β-likeness paper) sorts the tuples of each bucket by
 // their Hilbert index so that neighbours on the 1-D curve are likely
 // neighbours in QI space, and forms equivalence classes from curve-adjacent
-// tuples to keep bounding boxes small.
+// tuples to keep bounding boxes small. SABRE draws its ECs from the same
+// bucket order, and the serving layer lays out a generalized release's
+// ECs (for the bitset index) and a perturbed release's tuples (for their
+// zone-mapped blocks) along the curve. All four build a Mapper with
+// NewMapper over microdata.Schema.Bounds, key each row with IndexInto and
+// sort with Order; they differ only in resolution. BUREL and SABRE take
+// the run's hilbert_bits (default 10), the tuple blocks 4 bits, and the
+// EC layout min(10, (64−idxBits)/d) with idxBits = bits.Len(|ECs|−1): the
+// bits a key packed beside the EC's index once had left, kept so that a
+// served EC order never moves.
 //
 // The implementation follows Skilling, "Programming the Hilbert curve"
 // (AIP Conf. Proc. 707, 2004): coordinates are converted to and from the
 // "transposed" index form with O(d·b) bit operations.
 package hilbert
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Curve maps between d-dimensional grid points with b bits per dimension
 // and positions on the Hilbert curve. d·b must not exceed 63 so that the
@@ -31,15 +45,6 @@ func New(dims, bits int) (*Curve, error) {
 		return nil, fmt.Errorf("hilbert: dims*bits = %d exceeds 63", dims*bits)
 	}
 	return &Curve{dims: dims, bits: bits}, nil
-}
-
-// MustNew is New but panics on error.
-func MustNew(dims, bits int) *Curve {
-	c, err := New(dims, bits)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // Dims returns the dimensionality of the curve.
@@ -162,12 +167,31 @@ type Mapper struct {
 	scale  []float64
 }
 
-// NewMapper builds a Mapper over the given box.
-func NewMapper(c *Curve, lo, hi []float64) (*Mapper, error) {
-	if len(lo) != c.dims || len(hi) != c.dims {
-		return nil, fmt.Errorf("hilbert: box dims %d/%d, curve dims %d", len(lo), len(hi), c.dims)
+// DefaultBits is the per-dimension resolution NewMapper gives a maxBits
+// of 0 or less.
+const DefaultBits = 10
+
+// NewMapper builds a Mapper over the box [lo, hi] with
+// min(maxBits, 32, keyBits/d) bits per dimension, keyBits capped at 63,
+// so that every key fits in keyBits bits; maxBits ≤ 0 selects
+// DefaultBits. It fails, and never panics, when the box is empty or has
+// more dimensions than key bits.
+func NewMapper(lo, hi []float64, maxBits, keyBits int) (*Mapper, error) {
+	d := len(lo)
+	if len(hi) != d {
+		return nil, fmt.Errorf("hilbert: box has %d low and %d high bounds", d, len(hi))
 	}
-	m := &Mapper{Curve: c, Lo: lo, Hi: hi, scale: make([]float64, c.dims)}
+	if d < 1 {
+		return nil, fmt.Errorf("hilbert: empty box")
+	}
+	if maxBits <= 0 {
+		maxBits = DefaultBits
+	}
+	c, err := New(d, min(maxBits, 32, min(keyBits, 63)/d))
+	if err != nil {
+		return nil, err
+	}
+	m := &Mapper{Curve: c, Lo: lo, Hi: hi, scale: make([]float64, d)}
 	maxCoord := float64(c.Max() - 1)
 	for i := range lo {
 		if hi[i] > lo[i] {
@@ -177,15 +201,10 @@ func NewMapper(c *Curve, lo, hi []float64) (*Mapper, error) {
 	return m, nil
 }
 
-// Index returns the Hilbert index of the real-valued point, clamping each
-// coordinate into the mapper's box.
-func (m *Mapper) Index(point []float64) uint64 {
-	return m.IndexInto(point, make([]uint32, m.Curve.dims))
-}
-
-// IndexInto is Index with a caller-supplied coordinate buffer, for loops
-// that index many points without allocating. buf must have length
-// Curve.Dims(); its contents are clobbered.
+// IndexInto returns the Hilbert index of the real-valued point, clamping
+// each coordinate into the mapper's box. buf must have length
+// Curve.Dims(); its contents are clobbered, so a loop over many points
+// reuses one buffer and allocates nothing.
 func (m *Mapper) IndexInto(point []float64, buf []uint32) uint64 {
 	if len(buf) != m.Curve.dims {
 		panic(fmt.Sprintf("hilbert: IndexInto buffer of %d, want %d", len(buf), m.Curve.dims))
@@ -201,4 +220,37 @@ func (m *Mapper) IndexInto(point []float64, buf []uint32) uint64 {
 	}
 	m.Curve.axesToTranspose(buf)
 	return m.Curve.interleave(buf)
+}
+
+// Order returns the positions of keys in ascending key order, equal keys
+// in position order: the one sort that puts rows in curve order. It is a
+// stable LSD radix sort, one counting pass per byte up to the widest
+// key's top bit, so a d·b-bit key costs ⌈d·b/8⌉ linear passes instead of
+// a comparison sort of (key, position) pairs.
+func Order(keys []uint64) []int32 {
+	ord := make([]int32, len(keys))
+	for i := range ord {
+		ord[i] = int32(i)
+	}
+	var all uint64
+	for _, k := range keys {
+		all |= k
+	}
+	tmp := make([]int32, len(keys))
+	for shift := 0; shift < bits.Len64(all); shift += 8 {
+		var start [257]int
+		for _, i := range ord {
+			start[keys[i]>>shift&0xff+1]++
+		}
+		for b := 1; b < len(start); b++ {
+			start[b] += start[b-1]
+		}
+		for _, i := range ord {
+			b := keys[i] >> shift & 0xff
+			tmp[start[b]] = i
+			start[b]++
+		}
+		ord, tmp = tmp, ord
+	}
+	return ord
 }

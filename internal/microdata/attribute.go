@@ -74,6 +74,16 @@ func (a Attribute) DomainWidth() float64 {
 	return float64(a.Hierarchy.NumLeaves())
 }
 
+// Bounds returns the attribute's coordinate range in QI space: [Min, Max]
+// for a numeric attribute, [0, leaves−1] of the leaf ranks for a
+// categorical one. It is the one place a QI bound is found by kind.
+func (a Attribute) Bounds() (lo, hi float64) {
+	if a.Kind == Numeric {
+		return a.Min, a.Max
+	}
+	return 0, float64(a.Hierarchy.NumLeaves() - 1)
+}
+
 // Cardinality returns the number of distinct raw values the attribute can
 // take. For numeric attributes the domain is treated as the integer grid
 // [Min, Max] (the paper's CENSUS attributes are all integer-valued).
@@ -200,6 +210,16 @@ func (s *Schema) Validate() error {
 		vseen[v] = true
 	}
 	return nil
+}
+
+// Bounds returns the QI domain as a box, one Attribute.Bounds per
+// dimension.
+func (s *Schema) Bounds() Box {
+	b := Box{Lo: make([]float64, len(s.QI)), Hi: make([]float64, len(s.QI))}
+	for j, a := range s.QI {
+		b.Lo[j], b.Hi[j] = a.Bounds()
+	}
+	return b
 }
 
 // Project returns a copy of the schema keeping only the first d QI

@@ -3,7 +3,6 @@ package release
 import (
 	"math"
 	bits64 "math/bits"
-	"slices"
 
 	"repro/internal/hilbert"
 	"repro/internal/microdata"
@@ -33,79 +32,45 @@ func ecColumns(schema *microdata.Schema, ecs []microdata.PublishedEC) (*microdat
 // already-ordered ECs is the identity, so rows written in canonical order
 // come back in it.
 func hilbertOrder(schema *microdata.Schema, ecs []microdata.PublishedEC) {
-	d := len(schema.QI)
-	if d < 1 || len(ecs) < 2 {
+	if len(ecs) < 2 {
 		return
 	}
-	// Pack (curve key, original index) into one uint64 per EC so a plain
-	// slices.Sort orders them: stable by construction (the index breaks
-	// ties), no comparator indirection. The packing needs d·bits key bits
-	// plus idxBits position bits, so the key gets what the index leaves.
-	//
 	// 10 bits per dimension (1024 curve positions) is already finer than
 	// the finest grid (MaxGridCells = 4096 applies per dimension, but the
 	// serving grids top out at 64 cells); more resolution would only
 	// lengthen the encode's bit-interleaving loop without improving
-	// locality.
+	// locality. The key gets at most the 64−idxBits bits that packing it
+	// beside the EC's index once left: a release of more than 2^14 ECs
+	// over 5 dimensions is keyed at 9 bits, and the EC order it was
+	// served in must not move.
 	idxBits := bits64.Len(uint(len(ecs) - 1))
-	m := domainMapper(schema, 10, 64-idxBits)
-	if m == nil {
+	box := schema.Bounds()
+	m, err := hilbert.NewMapper(box.Lo, box.Hi, 10, 64-idxBits)
+	if err != nil {
 		return
 	}
+	d := len(box.Lo)
 	keys := make([]uint64, len(ecs))
 	pt := make([]float64, d)
 	buf := make([]uint32, d)
 	for i := range ecs {
-		box := &ecs[i].Box
-		if len(box.Lo) != d || len(box.Hi) != d {
+		b := &ecs[i].Box
+		if len(b.Lo) != d || len(b.Hi) != d {
 			return // no place on the curve; the caller's shape check refuses it
 		}
-		for j := 0; j < d; j++ {
-			c := 0.5 * (box.Lo[j] + box.Hi[j])
-			if math.IsNaN(c) { // hand-built box with infinite bounds
-				c = m.Lo[j]
+		for j := range pt {
+			pt[j] = 0.5 * (b.Lo[j] + b.Hi[j])
+			if math.IsNaN(pt[j]) { // hand-built box with infinite bounds
+				pt[j] = box.Lo[j]
 			}
-			pt[j] = c
 		}
-		keys[i] = m.IndexInto(pt, buf)<<idxBits | uint64(i)
+		keys[i] = m.IndexInto(pt, buf)
 	}
-	slices.Sort(keys)
-	idxMask := uint64(1)<<idxBits - 1
 	out := make([]microdata.PublishedEC, len(ecs))
-	for i, k := range keys {
-		out[i] = ecs[k&idxMask]
+	for i, o := range hilbert.Order(keys) {
+		out[i] = ecs[o]
 	}
 	copy(ecs, out)
-}
-
-// domainMapper maps points of the schema's QI domain (numeric [Min, Max],
-// categorical leaf ranks) onto a Hilbert curve of maxBits bits per
-// dimension, fewer where d·bits would pass keyBits (at most 63). It is the
-// one curve set-up of both canonical orders, ECs and tuples. Nil means no
-// curve fits: no dimensions, or more dimensions than key bits.
-func domainMapper(schema *microdata.Schema, maxBits, keyBits int) *hilbert.Mapper {
-	d := len(schema.QI)
-	if d < 1 || keyBits < d {
-		return nil
-	}
-	bits := min(maxBits, keyBits/d)
-	curve, err := hilbert.New(d, bits)
-	if err != nil {
-		return nil
-	}
-	lo, hi := make([]float64, d), make([]float64, d)
-	for j, a := range schema.QI {
-		if a.Kind == microdata.Numeric {
-			lo[j], hi[j] = a.Min, a.Max
-		} else {
-			lo[j], hi[j] = 0, float64(a.Hierarchy.NumLeaves()-1)
-		}
-	}
-	m, err := hilbert.NewMapper(curve, lo, hi)
-	if err != nil {
-		return nil
-	}
-	return m
 }
 
 // tupleCurveBits is the per-dimension resolution of the tuple order. The
@@ -126,42 +91,21 @@ const tupleCurveBits = 4
 // QI dimension of the schema.
 func canonicalizeTuples(schema *microdata.Schema, qi [][]float64, sa []int32) {
 	n := len(sa)
-	m := domainMapper(schema, tupleCurveBits, 63)
-	if m == nil || n < 2 {
+	box := schema.Bounds()
+	m, err := hilbert.NewMapper(box.Lo, box.Hi, tupleCurveBits, 63)
+	if err != nil || n < 2 {
 		return
 	}
-	d := len(qi)
 	keys := make([]uint64, n)
-	pt := make([]float64, d)
-	buf := make([]uint32, d)
+	pt := make([]float64, len(qi))
+	buf := make([]uint32, len(qi))
 	for i := range keys {
 		for j := range pt {
 			pt[j] = qi[j][i]
 		}
 		keys[i] = m.IndexInto(pt, buf)
 	}
-	// A stable LSD radix sort of the row positions by key, one counting
-	// pass per byte of key: the key is only d·bits wide, so this beats a
-	// comparison sort of (key, position) pairs by an order of magnitude.
-	ord, tmp := make([]int32, n), make([]int32, n)
-	for i := range ord {
-		ord[i] = int32(i)
-	}
-	for shift := 0; shift < d*m.Curve.Bits(); shift += 8 {
-		var start [257]int
-		for _, i := range ord {
-			start[keys[i]>>shift&0xff+1]++
-		}
-		for b := 1; b < len(start); b++ {
-			start[b] += start[b-1]
-		}
-		for _, i := range ord {
-			b := keys[i] >> shift & 0xff
-			tmp[start[b]] = i
-			start[b]++
-		}
-		ord, tmp = tmp, ord
-	}
+	ord := hilbert.Order(keys)
 	col := make([]float64, n)
 	for _, c := range qi {
 		for i, o := range ord {
@@ -169,6 +113,7 @@ func canonicalizeTuples(schema *microdata.Schema, qi [][]float64, sa []int32) {
 		}
 		copy(c, col)
 	}
+	tmp := make([]int32, n)
 	for i, o := range ord {
 		tmp[i] = sa[o]
 	}

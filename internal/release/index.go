@@ -102,12 +102,7 @@ func BuildIndex(schema *microdata.Schema, cols *microdata.ECColumns, cellsPerDim
 	w := ix.words
 	ix.dims = make([]dimGrid, len(schema.QI))
 	for d, a := range schema.QI {
-		var lo, hi float64
-		if a.Kind == microdata.Numeric {
-			lo, hi = a.Min, a.Max
-		} else {
-			lo, hi = 0, float64(a.Hierarchy.NumLeaves()-1)
-		}
+		lo, hi := a.Bounds()
 		g := dimGrid{min: lo, n: cellsPerDim}
 		if hi > lo {
 			g.invW = float64(cellsPerDim) / (hi - lo)

@@ -149,7 +149,7 @@ func TestIndexWideBoxes(t *testing.T) {
 		lo := make([]float64, len(schema.QI))
 		hi := make([]float64, len(schema.QI))
 		for d, a := range schema.QI {
-			dlo, dhi := domain(a)
+			dlo, dhi := a.Bounds()
 			w := (dhi - dlo) * (0.5 + 0.4*rng.Float64()) // 50-90% of the domain
 			c := dlo + rng.Float64()*(dhi-dlo-w)
 			lo[d], hi[d] = c, c+w
@@ -176,15 +176,6 @@ func TestIndexWideBoxes(t *testing.T) {
 			t.Fatalf("query %d: indexed %v != linear %v", i, got, want)
 		}
 	}
-}
-
-// domain returns the range a QI attribute's box bounds live in: the
-// numeric domain, or the leaf ranks of a categorical hierarchy.
-func domain(a microdata.Attribute) (lo, hi float64) {
-	if a.Kind == microdata.Numeric {
-		return a.Min, a.Max
-	}
-	return 0, float64(a.Hierarchy.NumLeaves() - 1)
 }
 
 // TestIndexDirectoryBitsets checks every cell's two bitsets against the
@@ -258,7 +249,7 @@ func shapedECs(schema *microdata.Schema, shape string, n, cells int, rng *rand.R
 		lo := make([]float64, len(schema.QI))
 		hi := make([]float64, len(schema.QI))
 		for d, a := range schema.QI {
-			dlo, dhi := domain(a)
+			dlo, dhi := a.Bounds()
 			switch s {
 			case "point":
 				v := dlo + rng.Float64()*(dhi-dlo)

@@ -20,12 +20,7 @@ func SyntheticECs(schema *microdata.Schema, n int, rng *rand.Rand) []microdata.P
 		lo := make([]float64, len(schema.QI))
 		hi := make([]float64, len(schema.QI))
 		for d, a := range schema.QI {
-			var dlo, dhi float64
-			if a.Kind == microdata.Numeric {
-				dlo, dhi = a.Min, a.Max
-			} else {
-				dlo, dhi = 0, float64(a.Hierarchy.NumLeaves()-1)
-			}
+			dlo, dhi := a.Bounds()
 			w := (dhi - dlo) * (0.01 + 0.05*rng.Float64())
 			c := dlo + rng.Float64()*(dhi-dlo-w)
 			lo[d], hi[d] = c, c+w

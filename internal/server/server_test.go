@@ -327,6 +327,29 @@ func TestCreateValidation(t *testing.T) {
 	}
 }
 
+// TestCreateSABREWideHilbertBits: a SABRE hilbert_bits that the params
+// accept builds on a one-QI table. 33–63 bits pass the curve's 32-bit
+// coordinate limit there; the mapper caps them, where they once panicked
+// the store's build worker and took the server down.
+func TestCreateSABREWideHilbertBits(t *testing.T) {
+	e := newEnv(t)
+	csv, _ := censusCSV(t, 500, 5, 1)
+	resp, data := e.post(t, "/v1/releases", createReq("sabre", `{"t": 0.2, "hilbert_bits": 40}`, csv, 1))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("create: %d: %s", resp.StatusCode, data)
+	}
+	var meta api.Release
+	if err := json.Unmarshal(data, &meta); err != nil {
+		t.Fatal(err)
+	}
+	if m := e.pollReady(t, meta.ID); m.Status != api.StatusReady {
+		t.Fatalf("release %s is %s: %s", meta.ID, m.Status, m.Error)
+	}
+	if resp, data := e.get(t, "/healthz"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the build: %d: %s", resp.StatusCode, data)
+	}
+}
+
 func TestQueryErrors(t *testing.T) {
 	e := newEnv(t)
 	if resp, _ := e.post(t, "/v1/releases/r-000404/query", api.Query{}); resp.StatusCode != http.StatusNotFound {

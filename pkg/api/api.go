@@ -363,8 +363,9 @@ type ClusterNode struct {
 	// Alive reports the gateway's circuit breaker for the node: false
 	// while the node is considered down and excluded from routing.
 	Alive bool `json:"alive"`
-	// Inflight is the number of gateway requests currently outstanding
-	// against the node.
+	// Inflight is the number of client requests the gateway currently
+	// has outstanding against the node; its own probes and replication
+	// traffic are not counted.
 	Inflight int64 `json:"inflight"`
 	// Failures counts consecutive failed health probes.
 	Failures int64 `json:"failures,omitempty"`
